@@ -25,7 +25,7 @@ std::optional<FlowResult> tryCachedFlow(const fc::FlowCache& cache,
   std::optional<std::string> payload = cache.load(key);
   if (!payload) return std::nullopt;
   try {
-    std::istringstream is(*payload);
+    std::istringstream is(std::move(*payload));
     FlowResult result = readFlowResult(is);
     support::telemetry::count(support::telemetry::Counter::FlowCacheHit);
     return result;

@@ -6,6 +6,7 @@
 #include "hls/serialize.hpp"
 #include "ir/serialize.hpp"
 #include "rtl/serialize.hpp"
+#include "support/envelope.hpp"
 #include "support/flowcache.hpp"
 #include "support/textio.hpp"
 #include "trace/serialize.hpp"
@@ -69,7 +70,7 @@ std::string flowCacheKey(const apps::AppDesign& app,
   fpga::writeParConfig(canon, config.par);
   fpga::writeDeviceFingerprint(canon, device);
 
-  support::flowcache::Fnv1a h;
+  support::Fnv1a h;
   h.u64(support::flowcache::kSchemaVersion)
       .str(app.name)
       .str(canon.str())

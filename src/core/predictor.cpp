@@ -1,8 +1,8 @@
 #include "core/predictor.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
+#include <typeinfo>
 
 #include "ml/serialize.hpp"
 #include "support/telemetry.hpp"
@@ -47,28 +47,19 @@ void CongestionPredictor::train(const LabeledDataset& data) {
   trained_ = true;
 }
 
-void CongestionPredictor::trainFromShards(const ml::shards::ShardSet& set,
-                                          bool streaming) {
+void CongestionPredictor::trainFromShards(const ml::shards::ShardSet& set) {
   HCP_SPAN("train_from_shards");
   HCP_CHECK_MSG(set.totalSamples() > 0,
                 "empty shard set: no training samples under " << set.dir());
   vertical_ = makeModel();
   horizontal_ = makeModel();
   average_ = makeModel();
-  const auto fitOne = [&](ml::Regressor& model, ml::shards::Label label) {
-    const ml::shards::ShardRowSource source(set, label);
-    if (streaming) {
-      model.fitStreaming(source);
-    } else {
-      // Cross-check path: materialize the whole set, then take the
-      // ordinary in-memory fit. Exists so tests and the bench can prove
-      // the streamed model is byte-identical to this one.
-      model.fit(ml::materialize(source));
-    }
-  };
-  fitOne(*vertical_, ml::shards::Label::Vertical);
-  fitOne(*horizontal_, ml::shards::Label::Horizontal);
-  fitOne(*average_, ml::shards::Label::Average);
+  vertical_->fitStreaming(
+      ml::shards::ShardRowSource(set, ml::shards::Label::Vertical));
+  horizontal_->fitStreaming(
+      ml::shards::ShardRowSource(set, ml::shards::Label::Horizontal));
+  average_->fitStreaming(
+      ml::shards::ShardRowSource(set, ml::shards::Label::Average));
   trained_ = true;
 }
 
@@ -149,33 +140,29 @@ void CongestionPredictor::save(const std::string& path) const {
 }
 
 CongestionPredictor CongestionPredictor::load(const std::string& path) {
-  std::ifstream is(path);
-  HCP_CHECK_MSG(is.good(), "cannot open " << path);
-  std::string magic, kind;
-  int version = 0;
-  HCP_CHECK_MSG(static_cast<bool>(is >> magic >> version >> kind) &&
-                    magic == "hcp-predictor" && version == 1,
-                "not a predictor file: " << path);
-  PredictorOptions options;
-  if (kind == "Linear") options.kind = ModelKind::Linear;
-  else if (kind == "ANN") options.kind = ModelKind::Ann;
-  else if (kind == "GBRT") options.kind = ModelKind::Gbrt;
-  else HCP_CHECK_MSG(false, "unknown predictor kind " << kind);
-  CongestionPredictor predictor(options);
-  try {
-    predictor.vertical_ = ml::loadModel(is);
-    predictor.horizontal_ = ml::loadModel(is);
-    predictor.average_ = ml::loadModel(is);
-  } catch (const Error& e) {
-    // Name the file: the per-model readers only see a stream.
-    throw Error(std::string(e.what()) + " [predictor file: " + path + "]");
-  }
-  std::string extra;
-  HCP_CHECK_MSG(!(is >> extra),
-                "trailing garbage after the three models (first token '"
-                    << extra << "') in predictor file: " << path);
-  predictor.trained_ = true;
-  return predictor;
+  return support::txt::readFile(path, "predictor", [](std::istream& is) {
+    std::string magic, kind;
+    int version = 0;
+    HCP_CHECK_MSG(static_cast<bool>(is >> magic >> version >> kind) &&
+                      magic == "hcp-predictor" && version == 1,
+                  "not a predictor file");
+    PredictorOptions options;
+    if (kind == "Linear") options.kind = ModelKind::Linear;
+    else if (kind == "ANN") options.kind = ModelKind::Ann;
+    else if (kind == "GBRT") options.kind = ModelKind::Gbrt;
+    else HCP_CHECK_MSG(false, "unknown predictor kind " << kind);
+    CongestionPredictor predictor(options);
+    const auto expected = predictor.makeModel();
+    for (auto* slot : {&predictor.vertical_, &predictor.horizontal_,
+                       &predictor.average_}) {
+      *slot = ml::loadModel(is);
+      HCP_CHECK_MSG(typeid(**slot) == typeid(*expected),
+                    kind << " predictor holds a " << (*slot)->name()
+                         << " model");
+    }
+    predictor.trained_ = true;
+    return predictor;
+  });
 }
 
 }  // namespace hcp::core

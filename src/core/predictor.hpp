@@ -53,13 +53,11 @@ class CongestionPredictor {
   /// Trains the three regressors (V, H, avg) on the dataset.
   void train(const LabeledDataset& data);
 
-  /// Trains the three regressors out-of-core from a shard set. With
-  /// `streaming` (the default) each model fits via its streaming path over
-  /// a ShardRowSource — byte-identical model to train() on the
-  /// materialized dataset, with one shard resident at a time. With
-  /// `streaming = false` the set is materialized first (a debugging /
-  /// cross-check path). Fails loudly on an empty set.
-  void trainFromShards(const ml::shards::ShardSet& set, bool streaming = true);
+  /// Trains the three regressors out-of-core from a shard set: each model
+  /// fits via its streaming path over a ShardRowSource — byte-identical
+  /// model to train() on the materialized dataset, with one shard resident
+  /// at a time. Fails loudly on an empty set.
+  void trainFromShards(const ml::shards::ShardSet& set);
 
   bool trained() const { return trained_; }
 

@@ -4,8 +4,8 @@
 
 #include "core/flow_serialize.hpp"
 #include "features/feature_registry.hpp"
+#include "support/envelope.hpp"
 #include "support/error.hpp"
-#include "support/flowcache.hpp"
 #include "support/telemetry.hpp"
 
 namespace hcp::core {
@@ -15,7 +15,7 @@ namespace {
 /// Digest of every DatasetOptions field the samples depend on. Folded into
 /// the shard salt so a filter-config change re-keys the shard.
 std::string optionsDigest(const DatasetOptions& options) {
-  return support::flowcache::Fnv1a()
+  return support::Fnv1a()
       .u64(options.applyMarginalFilter ? 1 : 0)
       .u64(options.filter.minGroupSize)
       .f64(options.filter.labelFraction)
@@ -75,20 +75,6 @@ ml::shards::ShardInfo buildShard(apps::AppDesign&& app,
   info.numSamples = samples.size();
   info.path = ml::shards::writeShard(dir, key, meta, samples);
   return info;
-}
-
-LabeledDataset datasetFromShards(const ml::shards::ShardSet& set) {
-  HCP_SPAN("dataset_from_shards");
-  LabeledDataset out;
-  for (std::size_t i = 0; i < set.numShards(); ++i) {
-    const ml::shards::ShardData shard = set.load(i);
-    for (const ml::shards::ShardSample& s : shard.samples) {
-      out.vertical.add(s.features, s.vertical);
-      out.horizontal.add(s.features, s.horizontal);
-      out.average.add(s.features, s.average);
-    }
-  }
-  return out;
 }
 
 }  // namespace hcp::core

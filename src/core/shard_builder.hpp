@@ -29,11 +29,4 @@ ml::shards::ShardInfo buildShard(apps::AppDesign&& app,
                                  const DatasetOptions& options,
                                  const std::string& dir);
 
-/// Materializes an entire shard set back into the in-memory LabeledDataset
-/// shape (three aligned datasets; the per-sample back-trace detail is not
-/// stored in shards, so `samples` is empty). This is the bridge for code
-/// paths that still want the in-memory representation — training itself
-/// should prefer the streaming fit over a ShardRowSource.
-LabeledDataset datasetFromShards(const ml::shards::ShardSet& set);
-
 }  // namespace hcp::core

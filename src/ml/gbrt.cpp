@@ -98,6 +98,9 @@ void Gbrt::fitFromSource(const RowSource& source) {
 }
 
 double Gbrt::predict(const std::vector<double>& row) const {
+  HCP_CHECK_MSG(row.size() == numFeatures_,
+                "gbrt expects " << numFeatures_ << " features, got "
+                                << row.size());
   double y = baseline_;
   for (const RegressionTree& t : trees_)
     y += config_.learningRate * t.predict(row);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
 #include "support/error.hpp"
@@ -370,13 +369,7 @@ void saveMapPredictionToFile(const MapPrediction& map,
 }
 
 MapPrediction loadMapPredictionFromFile(const std::string& path) {
-  std::ifstream is(path);
-  HCP_CHECK_MSG(is.good(), "cannot open " << path);
-  try {
-    return loadMapPrediction(is);
-  } catch (const Error& e) {
-    throw Error(std::string(e.what()) + " [map file: " + path + "]");
-  }
+  return txt::readFile(path, "map", MapPrediction::read);
 }
 
 // --- MapNet ----------------------------------------------------------------
@@ -849,15 +842,7 @@ void saveMapModelToFile(const MapNet& model, const std::string& path) {
 }
 
 MapNet loadMapModelFromFile(const std::string& path) {
-  std::ifstream is(path);
-  HCP_CHECK_MSG(is.good(), "cannot open " << path);
-  try {
-    MapNet model = loadMapModel(is);
-    txt::expectEnd(is, "map model");
-    return model;
-  } catch (const Error& e) {
-    throw Error(std::string(e.what()) + " [map-model file: " + path + "]");
-  }
+  return txt::readFile(path, "map-model", loadMapModel);
 }
 
 }  // namespace hcp::ml

@@ -1,8 +1,5 @@
 #include "ml/serialize.hpp"
 
-#include <fstream>
-#include <iomanip>
-
 #include "ml/gbrt.hpp"
 #include "ml/linear.hpp"
 #include "ml/mlp.hpp"
@@ -11,34 +8,10 @@
 
 namespace hcp::ml {
 
-namespace detail {
-
-void writeVec(std::ostream& os, const std::vector<double>& v) {
-  os << v.size();
-  for (double x : v) os << ' ' << x;
-  os << '\n';
-}
-
-std::vector<double> readVec(std::istream& is) {
-  std::size_t n = 0;
-  HCP_CHECK_MSG(static_cast<bool>(is >> n), "truncated model file");
-  std::vector<double> v(n);
-  for (double& x : v)
-    HCP_CHECK_MSG(static_cast<bool>(is >> x), "truncated model file");
-  return v;
-}
-
-void expect(std::istream& is, const char* token) {
-  std::string got;
-  HCP_CHECK_MSG(static_cast<bool>(is >> got) && got == token,
-                "model file: expected '" << token << "', got '" << got
-                                         << "'");
-}
-
-}  // namespace detail
+namespace txt = support::txt;
 
 void saveModel(const Regressor& model, std::ostream& os) {
-  os << std::setprecision(17);
+  txt::preparePrecision(os);
   if (const auto* lasso = dynamic_cast<const LassoRegression*>(&model)) {
     os << "hcp-model lasso 1\n";
     lasso->write(os);
@@ -55,27 +28,17 @@ void saveModel(const Regressor& model, std::ostream& os) {
 }
 
 std::unique_ptr<Regressor> loadModel(std::istream& is) {
-  detail::expect(is, "hcp-model");
-  std::string kind;
-  int version = 0;
-  HCP_CHECK_MSG(static_cast<bool>(is >> kind >> version),
-                "truncated model header");
+  txt::expect(is, "hcp-model");
+  const std::string kind = txt::read<std::string>(is, "model kind");
+  const int version = txt::read<int>(is, "model version");
   HCP_CHECK_MSG(version == 1, "unsupported model version " << version);
-  if (kind == "lasso") {
-    auto model = std::make_unique<LassoRegression>();
+  const auto load = [&](auto model) -> std::unique_ptr<Regressor> {
     model->read(is);
     return model;
-  }
-  if (kind == "mlp") {
-    auto model = std::make_unique<MlpRegressor>();
-    model->read(is);
-    return model;
-  }
-  if (kind == "gbrt") {
-    auto model = std::make_unique<Gbrt>();
-    model->read(is);
-    return model;
-  }
+  };
+  if (kind == "lasso") return load(std::make_unique<LassoRegression>());
+  if (kind == "mlp") return load(std::make_unique<MlpRegressor>());
+  if (kind == "gbrt") return load(std::make_unique<Gbrt>());
   HCP_CHECK_MSG(false, "unknown model kind '" << kind << "'");
   return nullptr;
 }
@@ -94,25 +57,9 @@ void saveModelToFile(const Regressor& model, const std::string& path) {
 }
 
 std::unique_ptr<Regressor> loadModelFromFile(const std::string& path) {
-  std::ifstream is(path);
-  HCP_CHECK_MSG(is.good(), "cannot open " << path);
-  std::unique_ptr<Regressor> model;
-  try {
-    model = loadModel(is);
-  } catch (const Error& e) {
-    // Re-throw with the offending file named: the stream-level readers have
-    // no idea where their bytes come from, but "which file is broken" is the
-    // question the user actually has.
-    throw Error(std::string(e.what()) + " [model file: " + path + "]");
-  }
   // A model file holds exactly one model: trailing bytes mean the file was
-  // concatenated, double-written or otherwise mangled — reject rather than
-  // silently ignore.
-  std::string extra;
-  HCP_CHECK_MSG(!(is >> extra),
-                "trailing garbage after model (first token '"
-                    << extra << "') in model file: " << path);
-  return model;
+  // concatenated, double-written or otherwise mangled.
+  return txt::readFile(path, "model", loadModel);
 }
 
 }  // namespace hcp::ml
@@ -122,37 +69,43 @@ std::unique_ptr<Regressor> loadModelFromFile(const std::string& path) {
 
 namespace hcp::ml {
 
-using detail::expect;
-using detail::readVec;
-using detail::writeVec;
 
 void StandardScaler::write(std::ostream& os) const {
   os << "scaler\n";
-  writeVec(os, mean_);
-  writeVec(os, std_);
+  txt::writeVec(os, mean_);
+  os << '\n';
+  txt::writeVec(os, std_);
+  os << '\n';
 }
 
 void StandardScaler::read(std::istream& is) {
-  expect(is, "scaler");
-  mean_ = readVec(is);
-  std_ = readVec(is);
+  txt::expect(is, "scaler");
+  mean_ = txt::readVec<double>(is, "scaler mean");
+  std_ = txt::readVec<double>(is, "scaler std");
+  HCP_CHECK_MSG(mean_.size() == std_.size(),
+                "scaler has " << mean_.size() << " means but " << std_.size()
+                              << " stds");
 }
 
 void LassoRegression::write(std::ostream& os) const {
   os << "config " << config_.alpha << ' ' << config_.maxIterations << ' '
      << config_.tolerance << '\n';
   scaler_.write(os);
-  writeVec(os, weights_);
+  txt::writeVec(os, weights_);
+  os << '\n';
   os << "intercept " << intercept_ << '\n';
 }
 
 void LassoRegression::read(std::istream& is) {
-  expect(is, "config");
+  txt::expect(is, "config");
   HCP_CHECK(static_cast<bool>(is >> config_.alpha >> config_.maxIterations >>
                               config_.tolerance));
   scaler_.read(is);
-  weights_ = readVec(is);
-  expect(is, "intercept");
+  weights_ = txt::readVec<double>(is, "lasso weights");
+  HCP_CHECK_MSG(weights_.size() == scaler_.mean().size(),
+                "lasso has " << weights_.size() << " weights for "
+                             << scaler_.mean().size() << " scaled features");
+  txt::expect(is, "intercept");
   HCP_CHECK(static_cast<bool>(is >> intercept_));
 }
 
@@ -160,27 +113,39 @@ void MlpRegressor::write(std::ostream& os) const {
   os << "layers " << layers_.size() << '\n';
   for (const Layer& l : layers_) {
     os << l.in << ' ' << l.out << '\n';
-    writeVec(os, l.w);
-    writeVec(os, l.b);
+    txt::writeVec(os, l.w);
+    os << '\n';
+    txt::writeVec(os, l.b);
+    os << '\n';
   }
   scaler_.write(os);
   os << "target " << yMean_ << ' ' << yStd_ << '\n';
 }
 
 void MlpRegressor::read(std::istream& is) {
-  expect(is, "layers");
-  std::size_t n = 0;
-  HCP_CHECK(static_cast<bool>(is >> n));
-  layers_.assign(n, Layer{});
-  for (Layer& l : layers_) {
+  txt::expect(is, "layers");
+  const auto n = txt::read<std::size_t>(is, "mlp layer count");
+  layers_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    Layer l;
     HCP_CHECK(static_cast<bool>(is >> l.in >> l.out));
-    l.w = readVec(is);
-    l.b = readVec(is);
+    l.w = txt::readVec<double>(is, "mlp weights");
+    l.b = txt::readVec<double>(is, "mlp biases");
     HCP_CHECK_MSG(l.w.size() == l.in * l.out && l.b.size() == l.out,
                   "mlp layer shape mismatch");
+    layers_.push_back(std::move(l));
   }
   scaler_.read(is);
-  expect(is, "target");
+  // The layers chain from the scaler width down to a single output.
+  std::size_t width = scaler_.mean().size();
+  for (const Layer& l : layers_) {
+    HCP_CHECK_MSG(l.in == width, "mlp layer takes " << l.in
+                                                    << " inputs, expected "
+                                                    << width);
+    width = l.out;
+  }
+  HCP_CHECK_MSG(width == 1, "mlp has " << width << " outputs, expected 1");
+  txt::expect(is, "target");
   HCP_CHECK(static_cast<bool>(is >> yMean_ >> yStd_));
 }
 
@@ -190,30 +155,46 @@ void RegressionTree::write(std::ostream& os) const {
     os << n.feature << ' ' << static_cast<int>(n.bin) << ' ' << n.threshold
        << ' ' << n.left << ' ' << n.right << ' ' << n.value << '\n';
   }
-  os << "splits " << splitCounts_.size();
-  for (std::uint32_t c : splitCounts_) os << ' ' << c;
+  os << "splits ";
+  txt::writeVec(os, splitCounts_);
   os << '\n';
-  writeVec(os, splitGains_);
+  txt::writeVec(os, splitGains_);
+  os << '\n';
 }
 
-void RegressionTree::read(std::istream& is) {
-  expect(is, "tree");
-  std::size_t n = 0;
-  HCP_CHECK(static_cast<bool>(is >> n));
-  nodes_.assign(n, Node{});
-  for (Node& node : nodes_) {
+void RegressionTree::read(std::istream& is, std::size_t numFeatures) {
+  txt::expect(is, "tree");
+  const auto n = txt::read<std::size_t>(is, "tree node count");
+  HCP_CHECK_MSG(n > 0, "tree has no nodes");
+  nodes_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    Node node;
     int bin = 0;
     HCP_CHECK(static_cast<bool>(is >> node.feature >> bin >>
                                 node.threshold >> node.left >> node.right >>
                                 node.value));
     node.bin = static_cast<std::uint8_t>(bin);
+    // Children come after their parent (preorder build): forward, in-range
+    // links make every root-to-leaf walk terminate inside the tree.
+    const auto inTree = [&](std::int32_t child) {
+      return child > static_cast<std::int64_t>(i) &&
+             static_cast<std::size_t>(child) < n;
+    };
+    HCP_CHECK_MSG(node.feature < 0 ||
+                      (static_cast<std::size_t>(node.feature) < numFeatures &&
+                       inTree(node.left) && inTree(node.right)),
+                  "tree node " << i << " splits on feature " << node.feature
+                               << " of " << numFeatures << " with children "
+                               << node.left << "/" << node.right);
+    nodes_.push_back(node);
   }
-  expect(is, "splits");
-  std::size_t m = 0;
-  HCP_CHECK(static_cast<bool>(is >> m));
-  splitCounts_.assign(m, 0);
-  for (std::uint32_t& c : splitCounts_) HCP_CHECK(static_cast<bool>(is >> c));
-  splitGains_ = readVec(is);
+  txt::expect(is, "splits");
+  splitCounts_ = txt::readVec<std::uint32_t>(is, "tree split counts");
+  splitGains_ = txt::readVec<double>(is, "tree split gains");
+  HCP_CHECK_MSG(splitCounts_.size() <= numFeatures &&
+                    splitGains_.size() <= numFeatures,
+                "tree split statistics cover more than " << numFeatures
+                                                         << " features");
 }
 
 void Gbrt::write(std::ostream& os) const {
@@ -228,18 +209,21 @@ void Gbrt::write(std::ostream& os) const {
 }
 
 void Gbrt::read(std::istream& is) {
-  expect(is, "config");
+  txt::expect(is, "config");
   HCP_CHECK(static_cast<bool>(
       is >> config_.numEstimators >> config_.learningRate >>
       config_.maxDepth >> config_.minSamplesLeaf >> config_.subsample >>
       config_.featureFraction >> config_.numBins >> config_.seed));
-  expect(is, "state");
+  txt::expect(is, "state");
   HCP_CHECK(static_cast<bool>(is >> baseline_ >> numFeatures_ >> trainLoss_));
-  expect(is, "forest");
-  std::size_t n = 0;
-  HCP_CHECK(static_cast<bool>(is >> n));
-  trees_.assign(n, RegressionTree{});
-  for (RegressionTree& t : trees_) t.read(is);
+  txt::expect(is, "forest");
+  const auto n = txt::read<std::size_t>(is, "gbrt tree count");
+  trees_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    RegressionTree t;
+    t.read(is, numFeatures_);
+    trees_.push_back(std::move(t));
+  }
 }
 
 }  // namespace hcp::ml

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
+#include <optional>
 #include <sstream>
 
-#include "support/flowcache.hpp"
+#include "support/envelope.hpp"
+#include "support/failpoint.hpp"
 #include "support/parallel.hpp"
 #include "support/telemetry.hpp"
 #include "support/textio.hpp"
@@ -15,9 +16,13 @@ namespace hcp::ml::shards {
 namespace {
 
 namespace fs = std::filesystem;
-using support::flowcache::Fnv1a;
+namespace envelope = support::envelope;
+namespace txt = support::txt;
+using support::Fnv1a;
 
-constexpr const char* kMagic = "hcp-shard";
+/// `hcp-shard <schema> <key> <numFeatures> <numSamples> <bytes> <fnv>`.
+const envelope::Format kEnvelope{"hcp-shard", kSchemaVersion, 2,
+                                 "shard file"};
 
 double targetOf(Label label, const ShardSample& s) {
   switch (label) {
@@ -29,65 +34,18 @@ double targetOf(Label label, const ShardSample& s) {
   return 0.0;
 }
 
-/// Parses one header line (without the trailing newline). `what` names the
-/// file in every failure message.
-ShardInfo parseHeader(const std::string& line, const std::string& path) {
-  std::istringstream is(line);
-  std::string magic, key, hash;
-  std::uint32_t version = 0;
-  std::size_t numFeatures = 0, numSamples = 0, payloadBytes = 0;
-  HCP_CHECK_MSG(static_cast<bool>(is >> magic >> version >> key >>
-                                  numFeatures >> numSamples >> payloadBytes >>
-                                  hash) &&
-                    magic == kMagic,
-                "not a shard file (bad header): " << path);
-  HCP_CHECK_MSG(version == kSchemaVersion,
-                "shard schema version skew: " << path << " has version "
-                                              << version << ", expected "
-                                              << kSchemaVersion);
-  HCP_CHECK_MSG(key.size() == 16 &&
-                    key.find_first_not_of("0123456789abcdef") ==
-                        std::string::npos,
-                "shard header: malformed key '" << key << "' in " << path);
-  HCP_CHECK_MSG(hash.size() == 16 &&
-                    hash.find_first_not_of("0123456789abcdef") ==
-                        std::string::npos,
-                "shard header: malformed payload digest in " << path);
-  std::string extra;
-  HCP_CHECK_MSG(!(is >> extra),
-                "shard header: trailing garbage '" << extra << "' in "
-                                                   << path);
-  HCP_CHECK_MSG(fs::path(path).stem().string() == key,
-                "shard key mismatch: header says " << key << " but the file "
-                                                   << "is named " << path);
-  ShardInfo info;
-  info.key = key;
-  info.numFeatures = numFeatures;
-  info.numSamples = numSamples;
-  info.path = path;
-  return info;
+/// The content key a shard at `path` must carry: its file stem.
+std::string stemOf(const std::string& path) {
+  return fs::path(path).stem().string();
 }
 
-struct HeaderEnvelope {
+ShardInfo infoOf(envelope::Header&& h, const std::string& path) {
   ShardInfo info;
-  std::size_t payloadBytes = 0;
-  std::string payloadHash;
-};
-
-HeaderEnvelope readHeaderLine(std::istream& is, const std::string& path) {
-  std::string line;
-  HCP_CHECK_MSG(static_cast<bool>(std::getline(is, line)),
-                "not a shard file (empty or unreadable): " << path);
-  HeaderEnvelope env;
-  env.info = parseHeader(line, path);
-  // Re-scan the two envelope fields parseHeader validated but dropped.
-  std::istringstream hs(line);
-  std::string magic, key;
-  std::uint32_t version = 0;
-  std::size_t numFeatures = 0, numSamples = 0;
-  hs >> magic >> version >> key >> numFeatures >> numSamples >>
-      env.payloadBytes >> env.payloadHash;
-  return env;
+  info.key = std::move(h.key);
+  info.numFeatures = h.counts[0];
+  info.numSamples = h.counts[1];
+  info.path = path;
+  return info;
 }
 
 }  // namespace
@@ -130,11 +88,11 @@ std::string writeShard(const std::string& dir, const std::string& key,
                                       << numFeatures);
 
   std::ostringstream payload;
-  support::txt::preparePrecision(payload);
+  txt::preparePrecision(payload);
   payload << "design ";
-  support::txt::writeStr(payload, meta.design);
+  txt::writeStr(payload, meta.design);
   payload << "\ndevice ";
-  support::txt::writeStr(payload, meta.device);
+  txt::writeStr(payload, meta.device);
   payload << "\nseed " << meta.seed << "\n";
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const ShardSample& s = samples[i];
@@ -143,18 +101,15 @@ std::string writeShard(const std::string& dir, const std::string& key,
     for (const double f : s.features) payload << ' ' << f;
     payload << "\n";
   }
-  const std::string bytes = payload.str();
 
   std::error_code ec;
   fs::create_directories(dir, ec);
   HCP_CHECK_MSG(!ec, "cannot create shard directory " << dir << ": "
                                                       << ec.message());
   const std::string path = (fs::path(dir) / (key + ".shard")).string();
-  support::txt::CheckedFileWriter writer(path, "shard");
-  writer.stream() << kMagic << ' ' << kSchemaVersion << ' ' << key << ' '
-                  << numFeatures << ' ' << samples.size() << ' '
-                  << bytes.size() << ' ' << Fnv1a().bytes(bytes).hex() << "\n"
-                  << bytes;
+  txt::CheckedFileWriter writer(path, "shard");
+  envelope::write(writer.stream(), kEnvelope, key,
+                  {numFeatures, samples.size()}, payload.str());
   writer.commit();
   support::telemetry::count(support::telemetry::Counter::ShardWrites);
   return path;
@@ -163,56 +118,42 @@ std::string writeShard(const std::string& dir, const std::string& key,
 ShardData readShard(const std::string& path) {
   if (support::failpoint::shouldFail("shard.read"))
     throw Error("cannot read shard " + path + " (injected shard.read fault)");
-  std::ifstream is(path, std::ios::binary);
-  HCP_CHECK_MSG(is.good(), "cannot open shard " << path);
-  const HeaderEnvelope env = readHeaderLine(is, path);
-
-  std::string bytes(env.payloadBytes, '\0');
-  is.read(bytes.data(), static_cast<std::streamsize>(env.payloadBytes));
-  HCP_CHECK_MSG(static_cast<std::size_t>(is.gcount()) == env.payloadBytes,
-                "truncated shard (payload wanted " << env.payloadBytes
-                                                   << " bytes, got "
-                                                   << is.gcount() << "): "
-                                                   << path);
-  HCP_CHECK_MSG(is.get() == std::ifstream::traits_type::eof(),
-                "trailing garbage after shard payload: " << path);
-  const std::string digest = Fnv1a().bytes(bytes).hex();
-  HCP_CHECK_MSG(digest == env.payloadHash,
-                "shard payload digest mismatch (header "
-                    << env.payloadHash << ", computed " << digest
-                    << "): " << path);
-
-  ShardData data;
-  data.info = env.info;
-  std::istringstream ps(bytes);
-  try {
-    support::txt::expect(ps, "design");
-    data.meta.design = support::txt::readStr(ps, "shard design");
-    support::txt::expect(ps, "device");
-    data.meta.device = support::txt::readStr(ps, "shard device");
-    support::txt::expect(ps, "seed");
-    data.meta.seed = support::txt::read<std::uint64_t>(ps, "shard seed");
-    data.samples.reserve(env.info.numSamples);
-    for (std::size_t i = 0; i < env.info.numSamples; ++i) {
-      support::txt::expect(ps, "sample");
-      ShardSample s;
-      s.id = support::txt::read<std::uint64_t>(ps, "sample id");
-      HCP_CHECK_MSG(s.id == sampleId(env.info.key, i),
-                    "shard sample " << i << " has id " << s.id
-                                    << ", expected canonical id "
-                                    << sampleId(env.info.key, i));
-      s.vertical = support::txt::read<double>(ps, "sample labels");
-      s.horizontal = support::txt::read<double>(ps, "sample labels");
-      s.average = support::txt::read<double>(ps, "sample labels");
-      s.features.reserve(env.info.numFeatures);
-      for (std::size_t f = 0; f < env.info.numFeatures; ++f)
-        s.features.push_back(support::txt::read<double>(ps, "sample features"));
-      data.samples.push_back(std::move(s));
-    }
-    support::txt::expectEnd(ps, "shard payload");
-  } catch (const Error& e) {
-    throw Error(std::string(e.what()) + " [shard file: " + path + "]");
-  }
+  std::optional<std::string> bytes = txt::slurp(path);
+  HCP_CHECK_MSG(bytes.has_value(), "cannot open shard " << path);
+  const ShardInfo info = txt::nameOnError("shard", path, [&] {
+    return infoOf(envelope::unseal(*bytes, kEnvelope, stemOf(path)), path);
+  });
+  std::istringstream payload(std::move(*bytes));
+  ShardData data =
+      txt::parseWhole(payload, "shard", path, [&](std::istream& ps) {
+        ShardData d;
+        d.info = info;
+        txt::expect(ps, "design");
+        d.meta.design = txt::readStr(ps, "shard design");
+        txt::expect(ps, "device");
+        d.meta.device = txt::readStr(ps, "shard device");
+        txt::expect(ps, "seed");
+        d.meta.seed = txt::read<std::uint64_t>(ps, "shard seed");
+        // Header counts are not covered by the digest: cap reservations.
+        d.samples.reserve(std::min(info.numSamples, txt::kMaxReserve));
+        for (std::size_t i = 0; i < info.numSamples; ++i) {
+          txt::expect(ps, "sample");
+          ShardSample s;
+          s.id = txt::read<std::uint64_t>(ps, "sample id");
+          HCP_CHECK_MSG(s.id == sampleId(info.key, i),
+                        "shard sample " << i << " has id " << s.id
+                                        << ", expected canonical id "
+                                        << sampleId(info.key, i));
+          s.vertical = txt::read<double>(ps, "sample labels");
+          s.horizontal = txt::read<double>(ps, "sample labels");
+          s.average = txt::read<double>(ps, "sample labels");
+          s.features.reserve(std::min(info.numFeatures, txt::kMaxReserve));
+          for (std::size_t f = 0; f < info.numFeatures; ++f)
+            s.features.push_back(txt::read<double>(ps, "sample features"));
+          d.samples.push_back(std::move(s));
+        }
+        return d;
+      });
   support::telemetry::count(support::telemetry::Counter::ShardReads);
   return data;
 }
@@ -231,21 +172,21 @@ ShardSet::ShardSet(std::string dir) : dir_(std::move(dir)) {
   std::sort(paths.begin(), paths.end());
 
   for (const std::string& path : paths) {
-    std::ifstream is(path, std::ios::binary);
-    HCP_CHECK_MSG(is.good(), "cannot open shard " << path);
-    const HeaderEnvelope env = readHeaderLine(is, path);
-    if (env.info.numSamples > 0) {
+    ShardInfo info = txt::nameOnError("shard", path, [&] {
+      return infoOf(envelope::readHeader(path, kEnvelope, stemOf(path)), path);
+    });
+    if (info.numSamples > 0) {
       if (numFeatures_ == 0) {
-        numFeatures_ = env.info.numFeatures;
+        numFeatures_ = info.numFeatures;
       } else {
-        HCP_CHECK_MSG(env.info.numFeatures == numFeatures_,
+        HCP_CHECK_MSG(info.numFeatures == numFeatures_,
                       "shard feature-count mismatch in set: "
-                          << path << " has " << env.info.numFeatures
+                          << path << " has " << info.numFeatures
                           << " features, set has " << numFeatures_);
       }
     }
-    totalSamples_ += env.info.numSamples;
-    infos_.push_back(env.info);
+    totalSamples_ += info.numSamples;
+    infos_.push_back(std::move(info));
   }
 }
 

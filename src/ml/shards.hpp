@@ -8,22 +8,19 @@
 // (sample_source.hpp), and the streamed models are byte-identical to the
 // in-memory ones.
 //
-// File format (`<dir>/<key>.shard`), text like every other serializer in
-// this repo (support/textio.hpp: 17-digit doubles, length-prefixed strings,
-// loud failures):
+// File format (`<dir>/<key>.shard`): the sealed envelope of
+// support/envelope.hpp (magic `hcp-shard`, counts: features and samples,
+// expected key: the file stem), checked before any payload parsing, around
+// a text payload (support/textio.hpp: 17-digit doubles, length-prefixed
+// strings, loud failures):
 //
-//   hcp-shard <schema> <key> <numFeatures> <numSamples> <payload-bytes>
-//       <payload-fnv1a>\n
 //   design <len> <bytes>\n
 //   device <len> <bytes>\n
 //   seed <seed>\n
 //   sample <id> <v> <h> <avg> <f0> ... <f(numFeatures-1)>\n   (x numSamples)
 //
-// The envelope mirrors the flow cache's: byte count + FNV-1a digest of the
-// payload, checked before any payload parsing, so truncation, bit flips,
-// version skew, a renamed file (key/stem mismatch) and trailing garbage are
-// all detected and rejected with hcp::Error — a corrupt shard can never
-// leak half-parsed samples into a training run.
+// A corrupt shard is an hcp::Error naming the file and never leaks
+// half-parsed samples into a training run.
 //
 // Content addressing: the key digests the schema version, design, device,
 // seed, feature count and a caller-provided salt (core::buildShard passes

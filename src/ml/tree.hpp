@@ -90,9 +90,11 @@ class RegressionTree {
   }
   const std::vector<double>& splitGains() const { return splitGains_; }
 
-  /// Text serialization (used by ml/serialize).
+  /// Text serialization (used by ml/serialize). read() rejects a tree that
+  /// splits on a feature >= `numFeatures` or whose children are not later
+  /// nodes of the same tree, so a loaded tree always terminates in range.
   void write(std::ostream& os) const;
-  void read(std::istream& is);
+  void read(std::istream& is, std::size_t numFeatures);
 
  private:
   struct Node {

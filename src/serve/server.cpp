@@ -326,7 +326,7 @@ Server::WorkResult Server::executeFlow(const Request& r) const {
     std::optional<std::string> payload = cache->load(r.cacheKey);
     if (!payload)
       throw Error("key '" + r.cacheKey + "' is not in the flow cache");
-    std::istringstream is(*payload);
+    std::istringstream is(std::move(*payload));
     const core::FlowResult result = core::readFlowResult(is);
     tel::count(tel::Counter::FlowCacheHit);
     out.body = flowBody(result, r.cacheKey, true);

@@ -3,12 +3,10 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
 
+#include "support/envelope.hpp"
 #include "support/error.hpp"
 #include "support/failpoint.hpp"
 #include "support/telemetry.hpp"
@@ -18,26 +16,6 @@ namespace hcp::support::flowcache {
 
 namespace fs = std::filesystem;
 namespace telemetry = hcp::support::telemetry;
-
-Fnv1a& Fnv1a::u64(std::uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  return bytes(std::string_view(b, 8));
-}
-
-Fnv1a& Fnv1a::f64(double v) {
-  static_assert(sizeof(double) == sizeof(std::uint64_t));
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return u64(bits);
-}
-
-std::string Fnv1a::hex() const {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(hash_));
-  return std::string(buf, 16);
-}
 
 FlowCache::FlowCache(std::string dir) : dir_(std::move(dir)) {
   HCP_CHECK_MSG(!dir_.empty(), "flow cache directory must be non-empty");
@@ -54,15 +32,8 @@ std::string FlowCache::entryPath(const std::string& key) const {
 
 namespace {
 
-/// Reads the whole file; nullopt when it does not exist / cannot be opened.
-std::optional<std::string> slurp(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) return std::nullopt;
-  std::ostringstream os;
-  os << is.rdbuf();
-  if (is.bad()) return std::nullopt;
-  return std::move(os).str();
-}
+const envelope::Format kEnvelope{"hcp-flowcache", kSchemaVersion, 0,
+                                 "flow-cache entry"};
 
 void corrupt(const std::string& path, const char* why) {
   telemetry::count(telemetry::Counter::FlowCacheCorrupt);
@@ -107,7 +78,7 @@ std::optional<std::string> FlowCache::load(const std::string& key) const {
               "load", path + ": injected read failure");
     return std::nullopt;
   }
-  auto raw = slurp(path);
+  auto raw = txt::slurp(path);
   if (!raw) {
     // Distinguish "no entry" (the normal cold miss) from "entry exists but
     // cannot be read" (permissions, I/O error): the latter degrades too,
@@ -121,47 +92,13 @@ std::optional<std::string> FlowCache::load(const std::string& key) const {
     }
     return std::nullopt;
   }
-  // Envelope: "hcp-flowcache <schema> <key> <bytes> <fnv>\n<payload>".
-  const std::size_t nl = raw->find('\n');
-  if (nl == std::string::npos) {
-    corrupt(path, "missing envelope header line");
+  try {
+    envelope::unseal(*raw, kEnvelope, key);
+  } catch (const hcp::Error& e) {
+    corrupt(path, e.what());
     return std::nullopt;
   }
-  std::istringstream header(raw->substr(0, nl));
-  std::string magic, storedKey, payloadHash;
-  std::uint32_t version = 0;
-  std::uint64_t payloadBytes = 0;
-  if (!(header >> magic >> version >> storedKey >> payloadBytes >>
-        payloadHash) ||
-      magic != "hcp-flowcache") {
-    corrupt(path, "malformed envelope header");
-    return std::nullopt;
-  }
-  std::string trailing;
-  if (header >> trailing) {
-    corrupt(path, "trailing tokens in envelope header");
-    return std::nullopt;
-  }
-  if (version != kSchemaVersion) {
-    corrupt(path, "schema version skew");
-    return std::nullopt;
-  }
-  if (storedKey != key) {
-    corrupt(path, "key mismatch (entry stored under a different digest)");
-    return std::nullopt;
-  }
-  std::string payload = raw->substr(nl + 1);
-  if (payload.size() != payloadBytes) {
-    corrupt(path, payload.size() < payloadBytes
-                      ? "truncated payload"
-                      : "trailing garbage after payload");
-    return std::nullopt;
-  }
-  if (Fnv1a().bytes(payload).hex() != payloadHash) {
-    corrupt(path, "payload hash mismatch (bit rot or concurrent tampering)");
-    return std::nullopt;
-  }
-  return payload;
+  return raw;
 }
 
 bool FlowCache::store(const std::string& key,
@@ -175,10 +112,7 @@ bool FlowCache::store(const std::string& key,
   // file is removed on every failure path (writer destructor / commit).
   try {
     txt::CheckedFileWriter writer(entryPath(key), "flowcache.store");
-    writer.stream() << "hcp-flowcache " << kSchemaVersion << ' ' << key << ' '
-                    << payload.size() << ' ' << Fnv1a().bytes(payload).hex()
-                    << '\n'
-                    << payload;
+    envelope::write(writer.stream(), kEnvelope, key, {}, payload);
     writer.commit();
   } catch (const hcp::Error& e) {
     ioFailure(telemetry::Counter::FlowCacheStoreError, gStoreErrorLogged,

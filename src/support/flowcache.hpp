@@ -11,17 +11,14 @@
 // inputs and replayed byte-identically.
 //
 // This layer is content-agnostic: it stores opaque string payloads under
-// 64-bit keys with a self-describing envelope
-//
-//   hcp-flowcache <schema> <key> <payload-bytes> <payload-fnv1a>\n
-//   <payload bytes>
-//
-// and detects every malformed shape — truncation, bit flips, blanked files,
-// version skew, key mismatch, trailing garbage — by checking the envelope
-// before handing the payload back. A corrupt entry is *never* returned: it
-// is counted (flowcache_corrupt), logged with its path, and treated as a
-// miss so the caller recomputes (and the subsequent store() self-heals the
-// entry). Serialization of the actual FlowResult lives in the owning layers
+// 64-bit keys in the sealed envelope of support/envelope.hpp (magic
+// `hcp-flowcache`, no counts) and detects every malformed shape —
+// truncation, bit flips, blanked files, version skew, key mismatch,
+// trailing garbage — by checking the envelope before handing the payload
+// back. A corrupt entry is *never* returned: it is counted
+// (flowcache_corrupt), logged with its path and the failed check, and
+// treated as a miss so the caller recomputes (and the subsequent store()
+// self-heals the entry). Serialization of the actual FlowResult lives in the owning layers
 // (ir/hls/rtl/fpga/trace `serialize.hpp`, composed by core/flow_serialize).
 //
 // Telemetry: load() counts flowcache_miss / flowcache_corrupt /
@@ -40,7 +37,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
 
 namespace hcp::support::flowcache {
 
@@ -48,34 +44,6 @@ namespace hcp::support::flowcache {
 /// incompatibly. The version participates in both the envelope header and
 /// the flow digest, so a version bump invalidates every old entry.
 inline constexpr std::uint32_t kSchemaVersion = 1;
-
-/// Streaming FNV-1a (64 bit). Deterministic across platforms and runs —
-/// exactly what a content-addressed key needs (no pointer values, no
-/// iteration-order dependence; callers feed canonical byte sequences).
-class Fnv1a {
- public:
-  Fnv1a& bytes(std::string_view data) {
-    for (const char c : data) {
-      hash_ ^= static_cast<unsigned char>(c);
-      hash_ *= 1099511628211ULL;
-    }
-    return *this;
-  }
-  Fnv1a& u64(std::uint64_t v);
-  Fnv1a& i64(std::int64_t v) { return u64(static_cast<std::uint64_t>(v)); }
-  /// Hashes the IEEE-754 bit pattern (distinguishes -0.0 from 0.0 — the
-  /// serializers print them differently, so the key must too).
-  Fnv1a& f64(double v);
-  /// Length-prefixed so ("ab","c") and ("a","bc") digest differently.
-  Fnv1a& str(std::string_view s) { return u64(s.size()).bytes(s); }
-
-  std::uint64_t digest() const { return hash_; }
-  /// 16-char lower-case hex of digest(); used as the cache file stem.
-  std::string hex() const;
-
- private:
-  std::uint64_t hash_ = 14695981039346656037ULL;
-};
 
 /// One cache directory. Each entry is a single file `<dir>/<key>.flow`
 /// written atomically (temp file + rename), so concurrent writers — pool

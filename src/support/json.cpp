@@ -3,10 +3,11 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "support/error.hpp"
+#include "support/textio.hpp"
 
 namespace hcp::support::json {
 
@@ -290,12 +291,9 @@ bool Value::asBool() const {
 Value parse(std::string_view text) { return Parser(text).run(); }
 
 Value parseFile(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  HCP_CHECK_MSG(is.good(), "cannot open JSON file " << path);
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  HCP_CHECK_MSG(!is.bad(), "read failed: " << path);
-  return parse(buf.str());
+  const std::optional<std::string> text = txt::slurp(path);
+  HCP_CHECK_MSG(text.has_value(), "cannot open JSON file " << path);
+  return parse(*text);
 }
 
 void writeEscaped(std::ostream& os, std::string_view s) {

@@ -117,12 +117,6 @@ bool& reportStartValid() {
   return valid;
 }
 
-// Lossless string escaping (control characters become \u00XX) lives in
-// support/json so the serve protocol can share it.
-void jsonEscape(std::ostream& os, std::string_view s) {
-  json::writeEscaped(os, s);
-}
-
 /// Prints a double with enough digits to round-trip exactly: histogram
 /// sums/extrema must compare equal across runs, not just look equal.
 void jsonNumber(std::ostream& os, double v) {
@@ -325,13 +319,13 @@ void writeReport(std::ostream& os, const RunReport& meta,
   os << "{\n";
   os << "  \"schema_version\": " << kReportSchemaVersion << ",\n";
   os << "  \"tool\": \"";
-  jsonEscape(os, meta.tool);
+  json::writeEscaped(os, meta.tool);
   os << "\",\n  \"command\": \"";
-  jsonEscape(os, meta.command);
+  json::writeEscaped(os, meta.command);
   os << "\",\n  \"designs\": [";
   for (std::size_t i = 0; i < meta.designs.size(); ++i) {
     os << (i == 0 ? "" : ", ") << '"';
-    jsonEscape(os, meta.designs[i]);
+    json::writeEscaped(os, meta.designs[i]);
     os << '"';
   }
   os << "],\n";
@@ -342,7 +336,7 @@ void writeReport(std::ostream& os, const RunReport& meta,
   for (std::size_t i = 0; i < snap.spans.size(); ++i) {
     const auto& e = snap.spans[i];
     os << "    {\"path\": \"";
-    jsonEscape(os, e.path);
+    json::writeEscaped(os, e.path);
     os << "\", \"depth\": " << e.depth << ", \"count\": " << e.count
        << ", \"wall_ms\": " << static_cast<double>(e.wallNs) / 1e6 << "}"
        << (i + 1 < snap.spans.size() ? "," : "") << "\n";

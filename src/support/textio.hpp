@@ -1,6 +1,7 @@
 // Shared primitives of the line-oriented text serializers (ir/hls/rtl/fpga/
-// trace `serialize.hpp`, ml/serialize.cpp's older sibling). The format goals
-// are the ones the flow cache needs:
+// trace `serialize.hpp`, the ml model and map formats) and of the whole-file
+// readers every artifact loader goes through. The format goals are the ones
+// the flow cache needs:
 //
 //   - *exact* round trips: doubles are printed with 17 significant digits
 //     (writers call `preparePrecision` once per document), so
@@ -15,12 +16,14 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -183,11 +186,15 @@ void writeVec(std::ostream& os, const std::vector<T>& v) {
   for (const T& x : v) os << ' ' << x;
 }
 
+/// The count is untrusted: at most `kMaxReserve` elements are reserved up
+/// front, so a corrupt count fails as truncation, never as bad_alloc.
+inline constexpr std::size_t kMaxReserve = std::size_t{1} << 16;
+
 template <typename T>
 std::vector<T> readVec(std::istream& is, const char* what) {
   const auto n = read<std::size_t>(is, what);
   std::vector<T> v;
-  v.reserve(n);
+  v.reserve(std::min(n, kMaxReserve));
   for (std::size_t i = 0; i < n; ++i) v.push_back(read<T>(is, what));
   return v;
 }
@@ -199,6 +206,49 @@ inline void expectEnd(std::istream& is, const char* what) {
   std::string extra;
   HCP_CHECK_MSG(!(is >> extra),
                 what << ": trailing garbage '" << extra << "' after document");
+}
+
+/// Runs `fn()` and rethrows any hcp::Error as `<message> [<kind> file:
+/// <path>]` — the stream-level readers never know where their bytes came
+/// from, but "which file is broken" is the question the user has.
+template <typename Fn>
+auto nameOnError(const char* kind, const std::string& path, Fn&& fn) {
+  try {
+    return fn();
+  } catch (const Error& e) {
+    throw Error(std::string(e.what()) + " [" + kind + " file: " + path + "]");
+  }
+}
+
+/// Runs `parse(is)` over one whole document and requires that nothing but
+/// whitespace follows it (expectEnd); errors name `path` (see nameOnError).
+template <typename Parse>
+auto parseWhole(std::istream& is, const char* kind, const std::string& path,
+                Parse&& parse) {
+  return nameOnError(kind, path, [&] {
+    auto result = parse(is);
+    expectEnd(is, kind);
+    return result;
+  });
+}
+
+/// Opens `path` and parses it as one whole document (see parseWhole).
+/// Throws hcp::Error "cannot open <path>" when the file cannot be opened.
+template <typename Parse>
+auto readFile(const std::string& path, const char* kind, Parse&& parse) {
+  std::ifstream is(path, std::ios::binary);
+  HCP_CHECK_MSG(is.good(), "cannot open " << path);
+  return parseWhole(is, kind, path, parse);
+}
+
+/// The whole file as raw bytes; nullopt when it cannot be opened or read.
+inline std::optional<std::string> slurp(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is.good()) return std::nullopt;
+  std::ostringstream os;
+  os << is.rdbuf();
+  if (is.bad()) return std::nullopt;
+  return std::move(os).str();
 }
 
 }  // namespace hcp::support::txt

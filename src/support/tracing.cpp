@@ -14,6 +14,7 @@
 
 #include "support/env.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 #include "support/telemetry.hpp"
 #include "support/textio.hpp"
 
@@ -95,28 +96,6 @@ void record(std::string_view path, std::int64_t taskIndex, Phase phase) {
   buf.events.push_back(std::move(e));
 }
 
-void jsonEscape(std::ostream& os, std::string_view s) {
-  static const char* const kHex = "0123456789abcdef";
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      case '\b': os << "\\b"; break;
-      case '\f': os << "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          const auto u = static_cast<unsigned char>(c);
-          os << "\\u00" << kHex[(u >> 4) & 0xF] << kHex[u & 0xF];
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 bool enabled() { return gTraceEnabled.load(std::memory_order_relaxed); }
@@ -195,7 +174,7 @@ void writeChromeTrace(std::ostream& os, const TraceMeta& meta) {
   os << "{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n";
   os << "    {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, "
         "\"tid\": 0, \"args\": {\"name\": \"";
-  jsonEscape(os, meta.tool);
+  json::writeEscaped(os, meta.tool);
   os << "\"}}";
   for (const ThreadBuffer* buf : reg.buffers) {
     os << ",\n    {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
@@ -211,7 +190,7 @@ void writeChromeTrace(std::ostream& os, const TraceMeta& meta) {
                           ? 'B'
                           : e.phase == Phase::End ? 'E' : 'X';
       os << ",\n    {\"name\": \"";
-      jsonEscape(os, e.path);
+      json::writeEscaped(os, e.path);
       os << "\", \"cat\": \"span\", \"ph\": \"" << ph
          << "\", \"pid\": 1, \"tid\": " << buf->tid << ", \"ts\": " << ts;
       if (e.phase == Phase::Complete) {
@@ -223,16 +202,16 @@ void writeChromeTrace(std::ostream& os, const TraceMeta& meta) {
       os << ", \"args\": {\"task\": " << e.task;
       if (!e.corr.empty()) {
         os << ", \"request\": \"";
-        jsonEscape(os, e.corr);
+        json::writeEscaped(os, e.corr);
         os << '"';
       }
       os << "}}";
     }
   }
   os << "\n  ],\n  \"otherData\": {\"tool\": \"";
-  jsonEscape(os, meta.tool);
+  json::writeEscaped(os, meta.tool);
   os << "\", \"command\": \"";
-  jsonEscape(os, meta.command);
+  json::writeEscaped(os, meta.command);
   os << "\", \"schema_version\": " << telemetry::kReportSchemaVersion
      << ", \"dropped_events\": " << dropped << "}\n}\n";
 }

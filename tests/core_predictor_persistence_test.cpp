@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -194,6 +195,125 @@ TEST(PredictorPersistenceFailures, UnknownModelTagThrows) {
     os << "hcp-model svm 1\n";
   }
   EXPECT_THROW(ml::loadModelFromFile(file.path()), hcp::Error);
+}
+
+
+// --- structurally invalid models ---------------------------------------------
+//
+// Each file below differs from a loadable one in one token (or one line) and
+// parses cleanly token by token; only the shape checks on load stand between
+// it and a hang, a segfault or out-of-bounds reads at predict time. Every one
+// must be rejected at load with an hcp::Error naming the file.
+
+/// The bytes of a trained predictor of `kind`.
+std::string savedPredictor(ModelKind kind) {
+  CongestionPredictor predictor(smallOptions(kind));
+  predictor.train(makeDataset());
+  TempFile file(hcp::test::uniqueStem("predictor", "source") + ".hcp");
+  predictor.save(file.path());
+  return hcp::test::slurpFile(file.path());
+}
+
+/// Replaces token `index` of the line `below` lines under the first line
+/// starting with `marker` (the whole line when `index` is npos).
+std::string edit(const std::string& text, const std::string& marker,
+                 std::size_t below, std::size_t index,
+                 const std::string& replacement) {
+  std::size_t begin = text.find("\n" + marker);
+  EXPECT_NE(begin, std::string::npos) << marker;
+  ++begin;
+  for (std::size_t i = 0; i < below; ++i) begin = text.find('\n', begin) + 1;
+  const std::size_t end = text.find('\n', begin);
+  std::istringstream line(text.substr(begin, end - begin));
+  std::vector<std::string> tokens;
+  for (std::string t; line >> t;) tokens.push_back(t);
+  std::string edited = replacement;
+  if (index != std::string::npos) {
+    EXPECT_LT(index, tokens.size()) << marker;
+    tokens[index] = replacement;
+    edited.clear();
+    for (const std::string& t : tokens)
+      edited += (edited.empty() ? "" : " ") + t;
+  }
+  return text.substr(0, begin) + edited + text.substr(end);
+}
+
+/// Expects `load` to reject `bytes` with an hcp::Error naming the file.
+template <typename Load>
+void expectRejected(const std::string& tag, const std::string& bytes,
+                    Load load) {
+  TempFile file(hcp::test::uniqueStem("invalid", tag) + ".hcp", bytes);
+  try {
+    load(file.path());
+    ADD_FAILURE() << tag << ": structurally invalid model loaded";
+  } catch (const hcp::Error& e) {
+    EXPECT_NE(std::string(e.what()).find(file.path()), std::string::npos)
+        << tag << ": error must name the file: " << e.what();
+  }
+}
+
+void expectPredictorRejected(const std::string& tag,
+                             const std::string& bytes) {
+  expectRejected(tag, bytes,
+                 [](const std::string& p) { CongestionPredictor::load(p); });
+}
+
+void expectModelRejected(const std::string& tag, const std::string& bytes) {
+  expectRejected(tag, bytes,
+                 [](const std::string& p) { ml::loadModelFromFile(p); });
+}
+
+TEST(InvalidModels, GbrtTreeLinksMustPointForwardInRange) {
+  const std::string good = savedPredictor(ModelKind::Gbrt);
+  // The first tree's root "<feature> <bin> <thr> <left> <right> <value>" is
+  // a split (its feature is not the leaf marker -1).
+  ASSERT_NE(edit(good, "tree ", 1, 0, "-1"), good);
+  TempFile ok(hcp::test::uniqueStem("invalid", "gbrt_good") + ".hcp", good);
+  EXPECT_NO_THROW(CongestionPredictor::load(ok.path()));
+  expectPredictorRejected("self_loop", edit(good, "tree ", 1, 3, "0"));
+  expectPredictorRejected("child_out_of_range",
+                          edit(good, "tree ", 1, 4, "900000"));
+  expectPredictorRejected("feature_out_of_range",
+                          edit(good, "tree ", 1, 0, "40000000"));
+}
+
+TEST(InvalidModels, LassoWeightsMustMatchTheScaler) {
+  const std::string good = savedPredictor(ModelKind::Linear);
+  // "scaler\n<means>\n<stds>\n<weights>\nintercept ...".
+  expectPredictorRejected("short_weights",
+                          edit(good, "scaler", 3, std::string::npos, "1 0.5"));
+  expectPredictorRejected("short_stds",
+                          edit(good, "scaler", 2, std::string::npos, "2 1 1"));
+}
+
+TEST(InvalidModels, HugeVectorCountIsAnErrorNotAnAllocation) {
+  const std::string good = savedPredictor(ModelKind::Linear);
+  expectPredictorRejected("huge_count",
+                          edit(good, "scaler", 1, 0, "99999999999999999"));
+}
+
+TEST(InvalidModels, PredictorKindMustMatchItsModels) {
+  std::string bytes = savedPredictor(ModelKind::Linear);
+  bytes.replace(0, bytes.find('\n'), "hcp-predictor 1 GBRT");
+  expectPredictorRejected("kind_mismatch", bytes);
+}
+
+TEST(InvalidModels, MlpLayersMustChain) {
+  // Every layer's weight block matches its own in/out; only the links
+  // between layers, the scaler and the output width differ from `good`.
+  const auto mlp = [](const std::string& layers) {
+    return "hcp-model mlp 1\n" + layers +
+           "scaler\n2 0 0\n2 1 1\ntarget 0 1\n";
+  };
+  const std::string good =
+      mlp("layers 2\n2 1\n2 0.5 0.5\n1 0\n1 1\n1 2\n1 0\n");
+  TempFile ok(hcp::test::uniqueStem("invalid", "mlp_good") + ".hcp", good);
+  EXPECT_NO_THROW(ml::loadModelFromFile(ok.path()));
+  expectModelRejected("broken_chain",
+                      mlp("layers 2\n2 1\n2 0.5 0.5\n1 0\n3 1\n3 1 1 1\n"
+                          "1 0\n"));
+  expectModelRejected("wide_output", mlp("layers 1\n2 2\n4 1 1 1 1\n2 0 0\n"));
+  expectModelRejected("scaler_width", mlp("layers 1\n3 1\n3 1 1 1\n1 0\n"));
 }
 
 }  // namespace

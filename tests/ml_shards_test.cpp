@@ -103,6 +103,26 @@ TEST(Shards, WriteIsByteDeterministic) {
   EXPECT_EQ(test::slurpFile(path), first);
 }
 
+TEST(Shards, BytesMatchGolden) {
+  // Pins the shard file byte for byte: the sealed header (key, counts,
+  // payload size, FNV-1a digest), the meta lines and 17-digit samples.
+  test::TempDir dir(test::uniqueStem("shards", "golden"));
+  std::vector<ShardSample> samples(2);
+  samples[0] = {0, 0.5, -1.25, 0.1, {1.0, -2.5, 3.75}};
+  samples[1] = {0, 2.0, 0.0, 1.0 / 3.0, {0.0, 1e-3, -7.0}};
+  const std::string key = shardKey("golden", "xc7z020like", 7, 3, "salt");
+  const std::string path =
+      writeShard(dir.dir(), key, meta("golden"), samples);
+  EXPECT_EQ(test::slurpFile(path),
+            "hcp-shard 1 3cc17edba07357e5 3 2 176 87a026db96c45b66\n"
+            "design 6 golden\n"
+            "device 11 xc7z020like\n"
+            "seed 7\n"
+            "sample 2069889149487483000 0.5 -1.25 0.10000000000000001 1 -2.5 "
+            "3.75\n"
+            "sample 4302204556455072409 2 0 0.33333333333333331 0 0.001 -7\n");
+}
+
 TEST(Shards, EmptyShardRoundTrips) {
   test::TempDir dir(test::uniqueStem("shards", "empty"));
   const std::string key = shardKey("d", "dev", 7, 0, "s");

@@ -695,6 +695,17 @@ TEST(FlowCachePlumbing, StoreIsAtomicReplace) {
   EXPECT_EQ(files, 1u);
 }
 
+TEST(FlowCachePlumbing, EntryBytesMatchGolden) {
+  // Pins the on-disk envelope byte for byte: magic, schema, key, payload
+  // size and FNV-1a digest on one header line, then the raw payload.
+  TempCacheDir scratch("flowcache_golden/");
+  const fc::FlowCache cache(scratch.dir());
+  ASSERT_TRUE(cache.store("00deadbeef00cafe", "golden payload\nline two\n"));
+  EXPECT_EQ(slurpFile(cache.entryPath("00deadbeef00cafe")),
+            "hcp-flowcache 1 00deadbeef00cafe 24 752518a20ed1e372\n"
+            "golden payload\nline two\n");
+}
+
 TEST(FlowCachePlumbing, MissOnEmptyDirectoryCountsMiss) {
   telemetry::setEnabled(true);
   telemetry::reset();

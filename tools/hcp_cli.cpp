@@ -8,10 +8,9 @@
 //       run flows one design at a time and write each design's labeled
 //       samples as a content-addressed dataset shard (see README "Dataset
 //       sharding"); peak memory is one design's flow
-//   hcp_cli train --from-shards <model.hcp> --shard-dir DIR [--in-memory]
+//   hcp_cli train --from-shards <model.hcp> --shard-dir DIR
 //       train a predictor by streaming the shards (bounded memory,
-//       byte-identical model to the in-memory path); --in-memory
-//       materializes the shards first (cross-check/debugging)
+//       byte-identical model to the in-memory path)
 //   hcp_cli predict <model.hcp> <design>
 //       HLS-synthesize the design (no PAR) and print predicted hotspots
 //   hcp_cli advise <model.hcp> <design>
@@ -164,7 +163,6 @@ struct Args {
   std::string cache;        ///< empty = flow caching off
   std::string shardDir;     ///< dataset shard directory (HCP_SHARDS fallback)
   bool fromShards = false;  ///< `train --from-shards`
-  bool inMemory = false;    ///< materialize shards instead of streaming
 };
 
 Args parse(int argc, char** argv, int first) {
@@ -178,6 +176,20 @@ Args parse(int argc, char** argv, int first) {
     if (*v == '\0') usageError(std::string(flag) + " expects a non-empty value");
     return v;
   };
+  // `--flag V` or `--flag=V` into `out`, non-empty either way; false when
+  // `a` is neither form of `flag`.
+  auto pathFlag = [&](int& i, const std::string& a, const std::string& flag,
+                      std::string& out) {
+    if (a == flag) {
+      out = nonEmpty(i, flag.c_str());
+    } else if (a.rfind(flag + "=", 0) == 0) {
+      out = a.substr(flag.size() + 1);
+      if (out.empty()) usageError(flag + " expects a non-empty value");
+    } else {
+      return false;
+    }
+    return true;
+  };
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--seed") {
@@ -186,32 +198,13 @@ Args parse(int argc, char** argv, int first) {
       args.threads =
           static_cast<std::size_t>(parseUint("--threads", value(i, "--threads")));
       if (args.threads == 0) usageError("--threads expects N >= 1");
-    } else if (a == "--report") {
-      args.report = nonEmpty(i, "--report");
-    } else if (a.rfind("--report=", 0) == 0) {
-      args.report = a.substr(9);
-      if (args.report.empty())
-        usageError("--report expects a non-empty value");
-    } else if (a == "--trace") {
-      args.trace = nonEmpty(i, "--trace");
-    } else if (a.rfind("--trace=", 0) == 0) {
-      args.trace = a.substr(8);
-      if (args.trace.empty()) usageError("--trace expects a non-empty value");
-    } else if (a == "--cache") {
-      args.cache = nonEmpty(i, "--cache");
-    } else if (a.rfind("--cache=", 0) == 0) {
-      args.cache = a.substr(8);
-      if (args.cache.empty()) usageError("--cache expects a non-empty value");
-    } else if (a == "--shard-dir") {
-      args.shardDir = nonEmpty(i, "--shard-dir");
-    } else if (a.rfind("--shard-dir=", 0) == 0) {
-      args.shardDir = a.substr(12);
-      if (args.shardDir.empty())
-        usageError("--shard-dir expects a non-empty value");
+    } else if (pathFlag(i, a, "--report", args.report) ||
+               pathFlag(i, a, "--trace", args.trace) ||
+               pathFlag(i, a, "--cache", args.cache) ||
+               pathFlag(i, a, "--shard-dir", args.shardDir)) {
+      // Stored by pathFlag.
     } else if (a == "--from-shards") {
       args.fromShards = true;
-    } else if (a == "--in-memory") {
-      args.inMemory = true;
     } else if (a == "--failpoints") {
       // Already applied by failpoint::initFromArgs at the top of run();
       // consume the value so it is not mistaken for a positional.
@@ -397,12 +390,11 @@ int run(int argc, char** argv) {
                    args.shardDir + "` first)");
       std::fprintf(stderr,
                    "[hcp] training %s on %zu samples streamed from %zu "
-                   "shard%s%s...\n",
+                   "shard%s...\n",
                    args.model.c_str(), set.totalSamples(), set.numShards(),
-                   set.numShards() == 1 ? "" : "s",
-                   args.inMemory ? " (materialized in memory)" : "");
+                   set.numShards() == 1 ? "" : "s");
       core::CongestionPredictor predictor(opts);
-      predictor.trainFromShards(set, /*streaming=*/!args.inMemory);
+      predictor.trainFromShards(set);
       predictor.save(modelPath);
       std::printf("saved %s predictor to %s (%zu samples from %zu shards)\n",
                   args.model.c_str(), modelPath.c_str(), set.totalSamples(),
@@ -410,8 +402,6 @@ int run(int argc, char** argv) {
       code = 0;
     } else {
       if (args.positional.size() < 2) return usage();
-      if (args.inMemory)
-        usageError("--in-memory only applies to train --from-shards");
       const std::string modelPath = args.positional[0];
       std::vector<apps::AppDesign> designs;
       for (std::size_t i = 1; i < args.positional.size(); ++i) {

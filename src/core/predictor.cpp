@@ -143,7 +143,9 @@ CongestionPredictor CongestionPredictor::load(const std::string& path) {
   return support::txt::readFile(path, "predictor", [](std::istream& is) {
     std::string magic, kind;
     int version = 0;
-    HCP_CHECK_MSG(static_cast<bool>(is >> magic >> version >> kind) &&
+    HCP_CHECK_MSG(static_cast<bool>(is >> magic) &&
+                      support::txt::readNumber(is, version) &&
+                      static_cast<bool>(is >> kind) &&
                       magic == "hcp-predictor" && version == 1,
                   "not a predictor file");
     PredictorOptions options;

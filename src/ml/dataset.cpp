@@ -1,6 +1,7 @@
 #include "ml/dataset.hpp"
 
 #include <cmath>
+#include <mutex>
 
 #include "ml/sample_source.hpp"
 
@@ -13,10 +14,16 @@ Dataset Dataset::subset(const std::vector<std::size_t>& indices) const {
 }
 
 Dataset Dataset::subsetView(const std::vector<std::size_t>& indices) const {
-  if (!liveToken_) liveToken_ = std::make_shared<const char>('\0');
   Dataset out(numFeatures_);
+  {
+    // k-fold CV takes views of one dataset from several pool threads at
+    // once; they must all see the one token created on first use.
+    static std::mutex tokenMutex;
+    const std::lock_guard<std::mutex> lock(tokenMutex);
+    if (!liveToken_) liveToken_ = std::make_shared<const char>('\0');
+    out.baseLive_ = liveToken_;
+  }
   out.base_ = this;
-  out.baseLive_ = liveToken_;
   out.index_ = indices;
   out.targets_.reserve(indices.size());
   for (std::size_t i : indices) out.targets_.push_back(target(i));

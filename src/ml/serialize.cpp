@@ -98,15 +98,15 @@ void LassoRegression::write(std::ostream& os) const {
 
 void LassoRegression::read(std::istream& is) {
   txt::expect(is, "config");
-  HCP_CHECK(static_cast<bool>(is >> config_.alpha >> config_.maxIterations >>
-                              config_.tolerance));
+  txt::readAll(is, "lasso config", config_.alpha, config_.maxIterations,
+               config_.tolerance);
   scaler_.read(is);
   weights_ = txt::readVec<double>(is, "lasso weights");
   HCP_CHECK_MSG(weights_.size() == scaler_.mean().size(),
                 "lasso has " << weights_.size() << " weights for "
                              << scaler_.mean().size() << " scaled features");
   txt::expect(is, "intercept");
-  HCP_CHECK(static_cast<bool>(is >> intercept_));
+  intercept_ = txt::read<double>(is, "lasso intercept");
 }
 
 void MlpRegressor::write(std::ostream& os) const {
@@ -128,7 +128,7 @@ void MlpRegressor::read(std::istream& is) {
   layers_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     Layer l;
-    HCP_CHECK(static_cast<bool>(is >> l.in >> l.out));
+    txt::readAll(is, "mlp layer shape", l.in, l.out);
     l.w = txt::readVec<double>(is, "mlp weights");
     l.b = txt::readVec<double>(is, "mlp biases");
     HCP_CHECK_MSG(l.w.size() == l.in * l.out && l.b.size() == l.out,
@@ -146,7 +146,7 @@ void MlpRegressor::read(std::istream& is) {
   }
   HCP_CHECK_MSG(width == 1, "mlp has " << width << " outputs, expected 1");
   txt::expect(is, "target");
-  HCP_CHECK(static_cast<bool>(is >> yMean_ >> yStd_));
+  txt::readAll(is, "mlp target", yMean_, yStd_);
 }
 
 void RegressionTree::write(std::ostream& os) const {
@@ -170,9 +170,8 @@ void RegressionTree::read(std::istream& is, std::size_t numFeatures) {
   for (std::size_t i = 0; i < n; ++i) {
     Node node;
     int bin = 0;
-    HCP_CHECK(static_cast<bool>(is >> node.feature >> bin >>
-                                node.threshold >> node.left >> node.right >>
-                                node.value));
+    txt::readAll(is, "tree node", node.feature, bin, node.threshold,
+                 node.left, node.right, node.value);
     node.bin = static_cast<std::uint8_t>(bin);
     // Children come after their parent (preorder build): forward, in-range
     // links make every root-to-leaf walk terminate inside the tree.
@@ -210,12 +209,12 @@ void Gbrt::write(std::ostream& os) const {
 
 void Gbrt::read(std::istream& is) {
   txt::expect(is, "config");
-  HCP_CHECK(static_cast<bool>(
-      is >> config_.numEstimators >> config_.learningRate >>
-      config_.maxDepth >> config_.minSamplesLeaf >> config_.subsample >>
-      config_.featureFraction >> config_.numBins >> config_.seed));
+  txt::readAll(is, "gbrt config", config_.numEstimators,
+               config_.learningRate, config_.maxDepth, config_.minSamplesLeaf,
+               config_.subsample, config_.featureFraction, config_.numBins,
+               config_.seed);
   txt::expect(is, "state");
-  HCP_CHECK(static_cast<bool>(is >> baseline_ >> numFeatures_ >> trainLoss_));
+  txt::readAll(is, "gbrt state", baseline_, numFeatures_, trainLoss_);
   txt::expect(is, "forest");
   const auto n = txt::read<std::size_t>(is, "gbrt tree count");
   trees_.clear();

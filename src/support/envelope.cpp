@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "support/error.hpp"
+#include "support/textio.hpp"
 
 namespace hcp::support {
 
@@ -55,10 +56,14 @@ Header parseHeader(std::string_view line, const Format& format,
   std::string magic;
   std::uint32_t version = 0;
   Header h;
-  is >> magic >> version >> h.key;
+  // A failed read sets failbit and every later one then fails too.
+  is >> magic;
+  txt::readNumber(is, version);
+  is >> h.key;
   h.counts.resize(format.numCounts);
-  for (std::uint64_t& c : h.counts) is >> c;
-  is >> h.payloadBytes >> h.digest;
+  for (std::uint64_t& c : h.counts) txt::readNumber(is, c);
+  txt::readNumber(is, h.payloadBytes);
+  is >> h.digest;
   require(!is.fail() && magic == format.magic, "not a ", format.noun,
           " (malformed header)");
   std::string extra;

@@ -12,6 +12,28 @@
 //   - loud failures: every read checks the stream and throws hcp::Error on
 //     truncation or token mismatch — a corrupt document can never parse into
 //     a half-filled struct silently.
+//
+// Numbers are read straight from the stream buffer, not through
+// `operator>>` (locale num_get). After skipping whitespace, `read<T>` takes
+// the maximal run of number characters `[0-9+-.eE]` as the token, leaves the
+// first other character unread and converts the token with
+// `std::from_chars`, which must consume all of it (one leading `+` is
+// dropped first, as `operator>>` accepts it). The contract:
+//
+//   - bit-exact for writer tokens: every token the writers emit (integers at
+//     their limits, doubles at 17 significant digits including ±0,
+//     subnormals and DBL_MAX) reads back as the identical value;
+//   - never more lenient than `operator>>`: a token it rejects (`nan`,
+//     `inf`, `1e`, `1e400`, an empty token, end of input) is rejected too,
+//     and eofbit/failbit are set as it would set them;
+//   - two deliberate tightenings, reachable only from hand-edited files: a
+//     `-` on an unsigned value (`operator>>` wrapped `-1` to the maximum)
+//     and a double that underflows to zero (`1e-400`, which it read as 0)
+//     are rejected. Tokens `operator>>` would read only in part (`12.5` for
+//     an integer) fail whole as well.
+//
+// Keywords (`expect`) are compared in place; a string is built only for the
+// error message.
 #pragma once
 
 #include <unistd.h>
@@ -19,6 +41,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -27,6 +50,8 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "support/error.hpp"
@@ -136,21 +161,126 @@ class CheckedFileWriter {
 /// top of every public write entry point.
 inline void preparePrecision(std::ostream& os) { os.precision(17); }
 
-/// Reads one whitespace-delimited token and requires it to equal `token`.
-inline void expect(std::istream& is, const char* token) {
-  std::string got;
-  HCP_CHECK_MSG(static_cast<bool>(is >> got) && got == token,
-                "serialized document: expected '" << token << "', got '"
-                                                  << got << "'");
+namespace detail {
+
+inline bool isSpace(int c) {
+  return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' ||
+         c == '\f';
 }
 
-/// Checked `>>` for arithmetic values.
+inline bool isNumberChar(int c) {
+  return (c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
+         c == 'e' || c == 'E';
+}
+
+/// Skips whitespace as `operator>>`'s sentry does: false (with
+/// eofbit|failbit set) when the stream is not good or ends first.
+inline bool skipSpace(std::istream& is) {
+  if (!is.good()) {
+    is.setstate(std::ios::failbit);
+    return false;
+  }
+  std::streambuf& sb = *is.rdbuf();
+  int c = sb.sgetc();
+  while (c != std::char_traits<char>::eof() && isSpace(c)) c = sb.snextc();
+  if (c != std::char_traits<char>::eof()) return true;
+  is.setstate(std::ios::eofbit | std::ios::failbit);
+  return false;
+}
+
+/// Consumes the next token (whitespace-free or number-character run, per
+/// `keep`), storing it in `buf` while it fits and in `spill` beyond that.
+/// Sets eofbit when the token runs to the end of input. Returns its view.
+template <std::size_t N, typename Keep>
+std::string_view takeToken(std::istream& is, char (&buf)[N],
+                           std::string& spill, Keep keep) {
+  std::streambuf& sb = *is.rdbuf();
+  std::size_t n = 0;
+  int c = sb.sgetc();
+  for (; c != std::char_traits<char>::eof() && keep(c); c = sb.snextc()) {
+    if (n < N) {
+      buf[n++] = static_cast<char>(c);
+    } else {
+      if (spill.empty()) spill.assign(buf, N);
+      spill.push_back(static_cast<char>(c));
+    }
+  }
+  if (c == std::char_traits<char>::eof()) is.setstate(std::ios::eofbit);
+  return spill.empty() ? std::string_view(buf, n) : std::string_view(spill);
+}
+
+}  // namespace detail
+
+/// Reads one whitespace-delimited token and requires it to equal `token`.
+/// The match is checked in place; only a mismatch builds the offending
+/// token, whole, for the message.
+inline void expect(std::istream& is, const char* token) {
+  const std::string_view want(token);
+  std::size_t i = 0;
+  bool matched = false;
+  if (detail::skipSpace(is)) {
+    std::streambuf& sb = *is.rdbuf();
+    int c = sb.sgetc();
+    for (; i < want.size() && c == static_cast<unsigned char>(want[i]);
+         c = sb.snextc())
+      ++i;
+    const bool atEof = c == std::char_traits<char>::eof();
+    if (atEof) is.setstate(std::ios::eofbit);
+    matched = i == want.size() && (atEof || detail::isSpace(c));
+  }
+  if (matched) return;
+  char buf[64];
+  std::string spill;
+  const std::string_view rest =
+      is.good() ? detail::takeToken(is, buf, spill,
+                                    [](int c) { return !detail::isSpace(c); })
+                : std::string_view();
+  HCP_CHECK_MSG(matched, "serialized document: expected '"
+                             << token << "', got '" << want.substr(0, i)
+                             << rest << "'");
+}
+
+/// As `is >> v` for an arithmetic `v`, under the number contract in the
+/// header comment: false, with failbit set, when the token is rejected.
+template <typename T>
+bool readNumber(std::istream& is, T& v) {
+  static_assert(std::is_arithmetic_v<T> && !std::is_same_v<T, bool> &&
+                    !std::is_same_v<T, char> &&
+                    !std::is_same_v<T, signed char> &&
+                    !std::is_same_v<T, unsigned char>,
+                "readNumber takes integer and floating-point numbers");
+  if (!detail::skipSpace(is)) return false;
+  char buf[64];
+  std::string spill;
+  std::string_view tok = detail::takeToken(
+      is, buf, spill, [](int c) { return detail::isNumberChar(c); });
+  if (tok.size() > 1 && tok[0] == '+' && tok[1] != '+' && tok[1] != '-')
+    tok.remove_prefix(1);
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  if (ec == std::errc() && ptr == end) return true;
+  is.setstate(std::ios::failbit);
+  return false;
+}
+
+/// Checked read of one value: numbers through readNumber, anything else
+/// (the model-kind words) through `operator>>`.
 template <typename T>
 T read(std::istream& is, const char* what) {
   T v{};
-  HCP_CHECK_MSG(static_cast<bool>(is >> v),
-                "serialized document: truncated while reading " << what);
+  bool ok = false;
+  if constexpr (std::is_arithmetic_v<T>)
+    ok = readNumber(is, v);
+  else
+    ok = static_cast<bool>(is >> v);
+  HCP_CHECK_MSG(ok, "serialized document: truncated while reading " << what);
   return v;
+}
+
+/// Checked reads of several values in order: `readAll(is, what, a, b, c)`.
+template <typename... T>
+void readAll(std::istream& is, const char* what, T&... vals) {
+  ((vals = read<T>(is, what)), ...);
 }
 
 /// Bools as 0/1 (operator>> would also accept them, but keep writes explicit).
@@ -162,6 +292,11 @@ inline bool readBool(std::istream& is, const char* what) {
   return v != 0;
 }
 
+/// Counts and lengths in a document are untrusted: at most `kMaxReserve`
+/// elements (or string bytes) are allocated ahead of the data that fills
+/// them, so a corrupt count fails as truncation, never as bad_alloc.
+inline constexpr std::size_t kMaxReserve = std::size_t{1} << 16;
+
 /// Length-prefixed string: `<size> <raw bytes>`. The single separator after
 /// the size is consumed exactly, so the bytes may contain anything.
 inline void writeStr(std::ostream& os, const std::string& s) {
@@ -172,10 +307,15 @@ inline std::string readStr(std::istream& is, const char* what) {
   const auto n = read<std::size_t>(is, what);
   HCP_CHECK_MSG(is.get() == ' ',
                 what << ": malformed string (missing separator)");
-  std::string s(n, '\0');
-  is.read(s.data(), static_cast<std::streamsize>(n));
-  HCP_CHECK_MSG(static_cast<std::size_t>(is.gcount()) == n,
-                what << ": truncated string (wanted " << n << " bytes)");
+  std::string s;
+  while (s.size() < n) {
+    const std::size_t have = s.size();
+    const std::size_t chunk = std::min(n - have, kMaxReserve);
+    s.resize(have + chunk);
+    is.read(s.data() + have, static_cast<std::streamsize>(chunk));
+    HCP_CHECK_MSG(static_cast<std::size_t>(is.gcount()) == chunk,
+                  what << ": truncated string (wanted " << n << " bytes)");
+  }
   return s;
 }
 
@@ -185,10 +325,6 @@ void writeVec(std::ostream& os, const std::vector<T>& v) {
   os << v.size();
   for (const T& x : v) os << ' ' << x;
 }
-
-/// The count is untrusted: at most `kMaxReserve` elements are reserved up
-/// front, so a corrupt count fails as truncation, never as bad_alloc.
-inline constexpr std::size_t kMaxReserve = std::size_t{1} << 16;
 
 template <typename T>
 std::vector<T> readVec(std::istream& is, const char* what) {

@@ -292,6 +292,17 @@ TEST(InvalidModels, HugeVectorCountIsAnErrorNotAnAllocation) {
                           edit(good, "scaler", 1, 0, "99999999999999999"));
 }
 
+TEST(InvalidModels, NumbersOutsideTheGrammarAreRejected) {
+  const std::string good = savedPredictor(ModelKind::Linear);
+  // "scaler\n<means>\n<stds>\n<weights>\nintercept <value>".
+  expectPredictorRejected("overflowing_weight",
+                          edit(good, "scaler", 3, 1, "1e400"));
+  expectPredictorRejected("nan_weight", edit(good, "scaler", 3, 1, "nan"));
+  expectPredictorRejected("negative_count", edit(good, "scaler", 3, 0, "-1"));
+  expectPredictorRejected("nan_intercept",
+                          edit(good, "intercept", 0, 1, "nan"));
+}
+
 TEST(InvalidModels, PredictorKindMustMatchItsModels) {
   std::string bytes = savedPredictor(ModelKind::Linear);
   bytes.replace(0, bytes.find('\n'), "hcp-predictor 1 GBRT");

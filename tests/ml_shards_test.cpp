@@ -9,6 +9,7 @@
 #include "ml/serialize.hpp"
 #include "ml/shards.hpp"
 #include "ml/validation.hpp"
+#include "support/envelope.hpp"
 #include "support/error.hpp"
 #include "support/failpoint.hpp"
 #include "support/parallel.hpp"
@@ -212,6 +213,38 @@ TEST_F(ShardCorruption, ScanDetectsHeaderCorruption) {
   std::string bytes = test::slurpFile(path);
   test::writeRaw(path, "garbage " + bytes);
   EXPECT_THROW(ShardSet{dir_->dir()}, Error);
+}
+
+TEST_F(ShardCorruption, ResealedOutOfGrammarNumbersRejected) {
+  // The payload is edited and sealed afresh (valid size and FNV digest), so
+  // only the payload's number grammar stands between the edit and a load.
+  const std::string path = freshShard("grammar");
+  const std::string bytes = test::slurpFile(path);
+  const std::size_t nl = bytes.find('\n');
+  std::string header = bytes.substr(0, nl);
+  header.erase(header.rfind(' '));
+  header.erase(header.rfind(' '));
+  const std::string payload = bytes.substr(nl + 1);
+  const auto resealed = [&](const std::string& p) {
+    return header + ' ' + std::to_string(p.size()) + ' ' +
+           support::Fnv1a().bytes(p).hex() + '\n' + p;
+  };
+  ASSERT_EQ(resealed(payload), bytes);
+
+  // Tokens after "sample ": <id> <vertical> <horizontal> <average> <features>.
+  for (const auto& [index, token] :
+       {std::pair{0, "-1"}, std::pair{4, "nan"}, std::pair{1, "1e400"}}) {
+    SCOPED_TRACE(token);
+    test::writeRaw(path, resealed(test::withToken(payload, "\nsample ",
+                                                  index, token)));
+    try {
+      readShard(path);
+      ADD_FAILURE() << "edited shard loaded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // --- failpoints ---------------------------------------------------------

@@ -120,6 +120,7 @@ std::vector<FlowResult>* FlowCacheRoundTrip::flows_ = nullptr;
 
 using TempCacheDir = hcp::test::TempDir;
 using hcp::test::slurpFile;
+using hcp::test::withToken;
 using hcp::test::writeRaw;
 
 // --- 1. round-trip properties ----------------------------------------------
@@ -501,6 +502,33 @@ TEST_F(CorruptionBattery, ValidEnvelopeWithUnparsablePayloadRecomputes) {
   telemetry::reset();
   (void)runFlow(smallSpam(), mainDevice(), {});
   EXPECT_EQ(counter(telemetry::Counter::FlowCacheHit), 1u);
+}
+
+TEST_F(CorruptionBattery, OutOfGrammarNumbersInAValidEnvelopeRecompute) {
+  TempCacheDir scratch("flowcache_corrupt_numbers/");
+  fc::ScopedCacheDir armed(scratch.dir());
+
+  const FlowResult cold = runFlow(smallSpam(), mainDevice(), {});
+  const std::string key = flowCacheKey(smallSpam(), mainDevice(), {});
+  const std::optional<std::string> good = fc::global()->load(key);
+  ASSERT_TRUE(good.has_value());
+
+  // Stored through the cache, each edit has a valid envelope (size and
+  // digest match), so only the payload's number grammar keeps it from
+  // hitting: an overflowing double, a NaN, and a minus on an unsigned count
+  // (operator>> served that one as 18446744073709551615).
+  for (const std::string& payload :
+       {withToken(*good, "\nplacestats ", 0, "1e400"),
+        withToken(*good, "\ntiming ", 0, "nan"),
+        withToken(*good, "\ntrace ", 1, "-1")}) {
+    fc::global()->store(key, payload);
+    telemetry::reset();
+    FlowResult result;
+    EXPECT_NO_THROW(result = runFlow(smallSpam(), mainDevice(), {}));
+    EXPECT_EQ(counter(telemetry::Counter::FlowCacheCorrupt), 1u);
+    EXPECT_EQ(counter(telemetry::Counter::FlowCacheHit), 0u);
+    EXPECT_EQ(serialize(result), serialize(cold));
+  }
 }
 
 TEST_F(CorruptionBattery, FlowResultReaderRejectsTrailingGarbage) {

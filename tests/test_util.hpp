@@ -73,6 +73,19 @@ inline std::string slurpFile(const std::string& path) {
   return os.str();
 }
 
+/// `text` with the `index`-th space-separated token after the first
+/// `marker` replaced by `token` (corruption-test primitive).
+inline std::string withToken(const std::string& text,
+                             const std::string& marker, int index,
+                             const std::string& token) {
+  std::size_t from = text.find(marker);
+  EXPECT_NE(from, std::string::npos) << marker;
+  from += marker.size();
+  for (int i = 0; i < index; ++i) from = text.find(' ', from) + 1;
+  std::string out = text;
+  return out.replace(from, out.find_first_of(" \n", from) - from, token);
+}
+
 /// Overwrites `path` with exactly `bytes` (corruption-test primitive).
 inline void writeRaw(const std::string& path, const std::string& bytes) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);

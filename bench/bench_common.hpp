@@ -7,7 +7,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -33,21 +32,17 @@ inline constexpr std::uint64_t kSeed = 42;
 /// Applies a `--threads N` (or `--threads=N`) command-line flag to the
 /// global thread limit. Call first thing in main(); unrelated arguments are
 /// ignored. Returns the applied limit (or the default when no flag given).
-/// The value must be a whole positive integer: `--threads 4abc` used to
-/// strtol-truncate to 4 threads and `--threads garbage` to silently keep the
-/// default — both are usage errors (exit 2) now.
+/// The value must be a whole positive integer, and a trailing `--threads`
+/// with no value is a usage error (exit 2) like every other flag's.
 inline std::size_t parseThreads(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const char* value = nullptr;
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-      value = argv[i + 1];
-    else if (std::strncmp(argv[i], "--threads=", 10) == 0)
-      value = argv[i] + 10;
-    if (value == nullptr) continue;
+  const std::string value =
+      support::telemetry::detail::flagValueOrDie(argc, argv, "threads");
+  if (!value.empty()) {
     const auto n = support::env::parseU64(value);
     if (!n || *n == 0) {
       std::fprintf(stderr,
-                   "--threads expects a positive integer, got '%s'\n", value);
+                   "--threads expects a positive integer, got '%s'\n",
+                   value.c_str());
       std::exit(2);
     }
     support::setThreadLimit(static_cast<std::size_t>(*n));

@@ -294,9 +294,9 @@ class Annealer {
   /// The pre-PR per-net state, kept verbatim for CostUpdate::kReference:
   /// one fat array-of-structs record per net (box + embedded weight),
   /// saved and restored whole on every move. The reference mode runs the
-  /// complete pre-incremental hot path — this layout included — so
-  /// bench/placer_hotpath compares the tentpole change (kernel AND flat
-  /// layouts) against what the code actually did before it, not against a
+  /// complete pre-incremental hot path — this layout included — so the
+  /// equivalence tests check the incremental kernel AND flat layouts
+  /// against what the code actually did before them, not against a
   /// half-upgraded hybrid.
   struct RefNetBox {
     std::uint32_t x0 = 0, x1 = 0, y0 = 0, y1 = 0;
@@ -346,8 +346,7 @@ class Annealer {
       // Build ONLY the pre-PR structures and stop: a reference Annealer
       // that also carried the incremental arrays (CSR adjacency, flat pin
       // lists, SoA nets, scratch) would spread its working set across
-      // them, and bench/placer_hotpath's baseline timing would stop
-      // matching the placer this mode stands in for.
+      // them and stop matching the placer this mode stands in for.
       refNetsOfCluster_.resize(numClusters);
       refBoxes_.resize(numNets);
       for (std::size_t n = 0; n < numNets; ++n) {
@@ -567,8 +566,8 @@ class Annealer {
 
   /// The pre-PR per-move recompute, verbatim: walk the net's driver field
   /// and sinks vector (no flat pin array), write the AoS box. No edge-count
-  /// tally — the old code had none — so placer_hotpath's reference timings
-  /// are not burdened with work the old code never did.
+  /// tally — the old code had none — so the reference path does no work
+  /// the old code never did.
   void recomputeBoxReference(std::size_t n) {
     const NetBounds b = netBounds(packing_.nets[n], tileOf_);
     RefNetBox& rb = refBoxes_[n];

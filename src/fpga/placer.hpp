@@ -17,8 +17,9 @@
 // cache locality. The pre-incremental kernel is retained as
 // CostUpdate::kReference: both paths draw the same RNG stream and sum cost
 // deltas in the same order, so they produce bit-identical placements —
-// asserted by the equivalence tests and measured by bench/placer_hotpath
-// (BENCH_placer.json). See DESIGN.md §15.
+// asserted by the equivalence tests on random and bundled-design packings.
+// Placer speed is measured by perfbench (fpga.place_ns_per_move). See
+// DESIGN.md §15.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +49,7 @@ struct PlacerConfig {
 
   /// Cost-update kernel. kIncremental (default) is the O(1) edge-count
   /// bounding-box path; kReference is the pre-incremental per-net full
-  /// rescan, kept for the equivalence tests and the placer_hotpath bench.
+  /// rescan, kept as the oracle of the equivalence tests.
   /// Both yield bit-identical placements for the same seed.
   enum class CostUpdate : std::uint8_t { kIncremental, kReference };
   CostUpdate costUpdate = CostUpdate::kIncremental;

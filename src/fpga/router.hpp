@@ -19,8 +19,8 @@
 // only the dirty tiles touched by that iteration's rip-up/reroute work
 // (every tile that can be overflowed is dirty by construction — see
 // DESIGN.md §15). Both are bit-identical to the straightforward forms; the
-// full-grid sweep is retained behind RouterConfig::dirtyTileScan=false for
-// the equivalence tests and bench/placer_hotpath.
+// full-grid sweep is retained behind RouterConfig::dirtyTileScan=false as
+// the oracle of the equivalence tests.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +39,7 @@ struct RouterConfig {
   /// Overflow/history sweep per PathFinder iteration: dirty-tile set
   /// (default) or the pre-incremental full-grid scan. Bit-identical
   /// results either way (test-asserted); the flag exists for the
-  /// equivalence tests and the placer_hotpath bench.
+  /// equivalence tests.
   bool dirtyTileScan = true;
 };
 

@@ -394,8 +394,7 @@ std::string flagValueOrDie(int argc, char** argv, std::string_view flag) {
     const char* a = argv[i];
     if (bare == a) {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s expects a value (a file path)\n",
-                     bare.c_str());
+        std::fprintf(stderr, "%s expects a value\n", bare.c_str());
         std::exit(2);
       }
       path = argv[++i];

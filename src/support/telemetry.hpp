@@ -309,10 +309,10 @@ void writeReportToFile(const std::string& path, RunReport meta);
 std::string initReportFromArgs(int argc, char** argv);
 
 namespace detail {
-/// Shared flag-value extraction for initReportFromArgs / initTraceFromArgs:
-/// returns the value of `--<flag> V` / `--<flag>=V` (last occurrence wins),
-/// "" when absent. Exits with a usage error (code 2) when the flag is
-/// present with no value.
+/// Shared flag-value extraction for the `--report`, `--trace`, `--cache`,
+/// `--failpoints` and bench `--threads` readers: returns the value of
+/// `--<flag> V` / `--<flag>=V` (last occurrence wins), "" when absent. Exits
+/// with a usage error (code 2) when the flag is present with no value.
 std::string flagValueOrDie(int argc, char** argv, std::string_view flag);
 }  // namespace detail
 

@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "apps/face_detection.hpp"
+#include "apps/registry.hpp"
 #include "core/dataset_builder.hpp"
 #include "core/flow.hpp"
+#include "core/flow_serialize.hpp"
 #include "core/predictor.hpp"
 #include "core/resolver.hpp"
+#include "support/parallel.hpp"
+#include "support/telemetry.hpp"
 
 namespace hcp::core {
 namespace {
@@ -164,6 +172,49 @@ TEST_F(CoreTest, ResolverHintsSortedBySeverity) {
       flow_->design, predictor.findHotspots(flow_->design, {}, 10), {});
   for (std::size_t i = 1; i < hints.size(); ++i)
     EXPECT_GE(hints[i - 1].severity, hints[i].severity);
+}
+
+TEST(RunFlows, ByteAndCounterIdenticalAcrossThreadCounts) {
+  // The thread-invariance contract every binary relies on: the same designs
+  // run serially and on two pool threads serialize to the same bytes and
+  // leave the same telemetry counter totals.
+  namespace telemetry = support::telemetry;
+  const fpga::Device device = fpga::Device::xc7z020like();
+  struct Run {
+    std::vector<std::string> flows;
+    std::array<std::uint64_t, telemetry::kNumCounters> counters{};
+  };
+  const auto runAt = [&](std::size_t threads) {
+    support::ScopedThreadLimit limit(threads);
+    std::vector<apps::AppDesign> designs;
+    designs.push_back(apps::makeDesign("spam_filter"));
+    designs.push_back(apps::makeDesign("rendering_3d"));
+    telemetry::setEnabled(true);
+    telemetry::reset();
+    const auto results = runFlows(designs, device);
+    Run run;
+    run.counters = telemetry::snapshot().counters;
+    telemetry::reset();
+    telemetry::setEnabled(false);
+    for (const auto& result : results) {
+      std::ostringstream os;
+      writeFlowResult(os, result);
+      run.flows.push_back(os.str());
+    }
+    return run;
+  };
+  const Run serial = runAt(1);
+  const Run parallel = runAt(2);
+  ASSERT_EQ(serial.flows.size(), 2u);
+  ASSERT_EQ(parallel.flows.size(), 2u);
+  for (std::size_t d = 0; d < serial.flows.size(); ++d)
+    EXPECT_TRUE(serial.flows[d] == parallel.flows[d]) << "design " << d;
+  EXPECT_GT(serial.counters[static_cast<std::size_t>(
+                telemetry::Counter::PlacerMovesProposed)],
+            0u);
+  for (std::size_t c = 0; c < telemetry::kNumCounters; ++c)
+    EXPECT_EQ(serial.counters[c], parallel.counters[c])
+        << telemetry::counterName(static_cast<telemetry::Counter>(c));
 }
 
 TEST(ModelKindNames, AllNamed) {

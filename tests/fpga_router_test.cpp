@@ -2,8 +2,14 @@
 
 #include <cmath>
 #include <map>
+#include <string>
 
+#include "apps/digit_spam.hpp"
+#include "fpga/packer.hpp"
+#include "fpga/placer.hpp"
 #include "fpga/router.hpp"
+#include "hls/design.hpp"
+#include "rtl/generator.hpp"
 
 namespace hcp::fpga {
 namespace {
@@ -108,11 +114,45 @@ TEST(Router, DeterministicResults) {
   EXPECT_DOUBLE_EQ(r1.totalWirelength, r2.totalWirelength);
 }
 
+/// Re-routes `placement` with the full-grid reference scan and requires the
+/// result to be byte-identical to `rd`, the dirty-tile sweep's routing under
+/// `cfg`.
+void expectMatchesFullGridScan(const RoutingResult& rd,
+                               const Packing& packing,
+                               const Placement& placement, const Device& dev,
+                               RouterConfig cfg, const std::string& label) {
+  cfg.dirtyTileScan = false;
+  const auto rf = route(packing, placement, dev, cfg);
+  ASSERT_EQ(rd.iterationsRun, rf.iterationsRun) << label;
+  EXPECT_EQ(rd.overflowTiles, rf.overflowTiles) << label;
+  EXPECT_EQ(rd.totalWirelength, rf.totalWirelength)  // bit-equal, not near
+      << label;
+  ASSERT_EQ(rd.routes.size(), rf.routes.size()) << label;
+  for (std::size_t n = 0; n < rd.routes.size(); ++n) {
+    ASSERT_EQ(rd.routes[n].size(), rf.routes[n].size())
+        << "net " << n << " " << label;
+    for (std::size_t s = 0; s < rd.routes[n].size(); ++s) {
+      EXPECT_EQ(rd.routes[n][s].x, rf.routes[n][s].x) << label;
+      EXPECT_EQ(rd.routes[n][s].y, rf.routes[n][s].y) << label;
+      EXPECT_EQ(rd.routes[n][s].vertical, rf.routes[n][s].vertical) << label;
+    }
+  }
+  for (std::uint32_t y = 0; y < dev.height(); ++y)
+    for (std::uint32_t x = 0; x < dev.width(); ++x) {
+      ASSERT_EQ(rd.map.vDemand(x, y), rf.map.vDemand(x, y))
+          << "tile " << x << "," << y << " " << label;
+      ASSERT_EQ(rd.map.hDemand(x, y), rf.map.hDemand(x, y))
+          << "tile " << x << "," << y << " " << label;
+    }
+}
+
 TEST(Router, DirtyTileSweepMatchesFullGridScan) {
   // The dirty-tile overflow/history sweep must be byte-identical to the
   // pre-incremental full-grid scan — same overflow counts, same history
   // accumulation, hence the same rip-up set and bit-equal final routes.
-  // The fixture forces real congestion so negotiation actually iterates.
+  // The synthetic fixture forces real congestion so negotiation actually
+  // iterates; a bundled design's packing and placement adds the flow's own
+  // net mix.
   Fixture f;
   hcp::Rng rng(23);
   for (int i = 0; i < 30; ++i) {
@@ -130,30 +170,22 @@ TEST(Router, DirtyTileSweepMatchesFullGridScan) {
   const Device dev = Device::xc7z020like();
   RouterConfig dirty;
   dirty.maxIterations = 8;
-  RouterConfig full = dirty;
-  full.dirtyTileScan = false;
   const auto rd = route(f.packing, f.placement, dev, dirty);
-  const auto rf = route(f.packing, f.placement, dev, full);
   EXPECT_GT(rd.iterationsRun, 1) << "fixture failed to congest";
-  ASSERT_EQ(rd.iterationsRun, rf.iterationsRun);
-  EXPECT_EQ(rd.overflowTiles, rf.overflowTiles);
-  EXPECT_EQ(rd.totalWirelength, rf.totalWirelength);  // bit-equal, not near
-  ASSERT_EQ(rd.routes.size(), rf.routes.size());
-  for (std::size_t n = 0; n < rd.routes.size(); ++n) {
-    ASSERT_EQ(rd.routes[n].size(), rf.routes[n].size()) << "net " << n;
-    for (std::size_t s = 0; s < rd.routes[n].size(); ++s) {
-      EXPECT_EQ(rd.routes[n][s].x, rf.routes[n][s].x);
-      EXPECT_EQ(rd.routes[n][s].y, rf.routes[n][s].y);
-      EXPECT_EQ(rd.routes[n][s].vertical, rf.routes[n][s].vertical);
-    }
-  }
-  for (std::uint32_t y = 0; y < dev.height(); ++y)
-    for (std::uint32_t x = 0; x < dev.width(); ++x) {
-      ASSERT_EQ(rd.map.vDemand(x, y), rf.map.vDemand(x, y))
-          << "tile " << x << "," << y;
-      ASSERT_EQ(rd.map.hDemand(x, y), rf.map.hDemand(x, y))
-          << "tile " << x << "," << y;
-    }
+  expectMatchesFullGridScan(rd, f.packing, f.placement, dev, dirty,
+                            "synthetic");
+  if (HasFatalFailure()) return;
+
+  auto app = apps::spamFilter();
+  const auto design =
+      hls::synthesize(std::move(app.module), app.directives, {});
+  const auto packing = pack(rtl::generateRtl(design).netlist, dev);
+  PlacerConfig placer;
+  placer.seed = 42;
+  placer.effort = 4.0;
+  const auto placement = place(packing, dev, placer);
+  expectMatchesFullGridScan(route(packing, placement, dev, {}), packing,
+                            placement, dev, {}, "spam_filter");
 }
 
 TEST(Router, UtilizationAccountsCapacityBoost) {

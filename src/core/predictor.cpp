@@ -5,6 +5,7 @@
 #include <typeinfo>
 
 #include "ml/serialize.hpp"
+#include "support/parallel.hpp"
 #include "support/telemetry.hpp"
 #include "support/textio.hpp"
 
@@ -81,22 +82,35 @@ std::vector<Hotspot> CongestionPredictor::findHotspots(
   HCP_CHECK_MSG(trained_, "predictor not trained");
   features::FeatureExtractor extractor(design, caps);
 
+  // Only the average model ranks regions, so it is the only one scored.
+  // Ops are extracted and scored on the pool; the fold below runs in op
+  // order, so every sum is the serial one at any thread count.
+  std::vector<std::pair<std::uint32_t, ir::OpId>> ops;
+  for (std::uint32_t f = 0; f < design.module->numFunctions(); ++f) {
+    const ir::Function& fn = design.module->function(f);
+    for (ir::OpId op = 0; op < fn.numOps(); ++op)
+      if (ir::isFunctionalUnit(fn.op(op).opcode)) ops.emplace_back(f, op);
+  }
+  extractor.prepare();
+  const std::vector<double> predicted = support::parallelMapIndex(
+      ops.size(),
+      [&](std::size_t i) {
+        const auto [f, op] = ops[i];
+        return average_->predict(extractor.extract(f, op));
+      },
+      /*grainSize=*/16);
+
   struct Acc {
     double sum = 0.0, max = 0.0;
     std::size_t count = 0;
   };
   std::map<std::pair<std::uint32_t, std::int32_t>, Acc> regions;
-
-  for (std::uint32_t f = 0; f < design.module->numFunctions(); ++f) {
-    const ir::Function& fn = design.module->function(f);
-    for (ir::OpId op = 0; op < fn.numOps(); ++op) {
-      if (!ir::isFunctionalUnit(fn.op(op).opcode)) continue;
-      const OpPrediction p = predictOp(extractor, f, op);
-      Acc& a = regions[{f, fn.op(op).sourceLine}];
-      a.sum += p.average;
-      a.max = std::max(a.max, p.average);
-      ++a.count;
-    }
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const auto [f, op] = ops[i];
+    Acc& a = regions[{f, design.module->function(f).op(op).sourceLine}];
+    a.sum += predicted[i];
+    a.max = std::max(a.max, predicted[i]);
+    ++a.count;
   }
 
   std::vector<Hotspot> hotspots;
@@ -110,9 +124,14 @@ std::vector<Hotspot> CongestionPredictor::findHotspots(
     h.maxPredicted = a.max;
     hotspots.push_back(std::move(h));
   }
+  // Exact ties rank by (function, line), so a top-k cut through a tie group
+  // keeps the same regions on every standard library.
   std::sort(hotspots.begin(), hotspots.end(),
             [](const Hotspot& a, const Hotspot& b) {
-              return a.meanPredicted > b.meanPredicted;
+              if (a.meanPredicted != b.meanPredicted)
+                return a.meanPredicted > b.meanPredicted;
+              return std::pair(a.functionIndex, a.sourceLine) <
+                     std::pair(b.functionIndex, b.sourceLine);
             });
   if (hotspots.size() > topK) hotspots.resize(topK);
   return hotspots;

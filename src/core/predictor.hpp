@@ -67,7 +67,9 @@ class CongestionPredictor {
 
   /// Ranks source regions of a synthesized design by predicted congestion.
   /// Covers the top function and every callee. Regions are (function,
-  /// source-line) groups of functional-unit ops.
+  /// source-line) groups of functional-unit ops, scored by the average
+  /// model only; exact ties rank by (function index, line) ascending. The
+  /// result is identical at any thread count.
   std::vector<Hotspot> findHotspots(const hls::SynthesizedDesign& design,
                                     const features::DeviceCaps& caps,
                                     std::size_t topK = 10) const;

@@ -95,15 +95,47 @@ void Gbrt::fitFromSource(const RowSource& source) {
     trainLoss_ += d * d;
   }
   trainLoss_ /= static_cast<double>(n);
+  flatten();
+}
+
+void Gbrt::flatten() {
+  flatNodes_.clear();
+  flatLeaves_.clear();
+  flatTrees_.clear();
+  flatTrees_.reserve(trees_.size());
+  for (const RegressionTree& t : trees_) {
+    const auto root = static_cast<std::int32_t>(flatNodes_.size());
+    flatTrees_.push_back({root, t.depth() - 1});
+    for (const RegressionTree::Node& n : t.nodes()) {
+      const auto self = static_cast<std::int32_t>(flatNodes_.size());
+      if (n.feature < 0)
+        flatNodes_.push_back({0, {self, self}, 0.0});
+      else
+        flatNodes_.push_back(
+            {n.feature, {root + n.left, root + n.right}, n.threshold});
+      flatLeaves_.push_back(n.value);
+    }
+  }
 }
 
 double Gbrt::predict(const std::vector<double>& row) const {
   HCP_CHECK_MSG(row.size() == numFeatures_,
                 "gbrt expects " << numFeatures_ << " features, got "
                                 << row.size());
+  // Each walk takes exactly the tree's depth - 1 steps; a leaf reached
+  // early loops onto itself, so the loop has no data-dependent exit. The
+  // leaves add up in tree order, as RegressionTree::predict's sum would.
+  const double* x = row.data();
+  const FlatNode* nodes = flatNodes_.data();
   double y = baseline_;
-  for (const RegressionTree& t : trees_)
-    y += config_.learningRate * t.predict(row);
+  for (const FlatTree& t : flatTrees_) {
+    std::int32_t idx = t.root;
+    for (std::int32_t s = 0; s < t.steps; ++s) {
+      const FlatNode& n = nodes[idx];
+      idx = n.child[!(x[n.feature] <= n.threshold)];
+    }
+    y += config_.learningRate * flatLeaves_[static_cast<std::size_t>(idx)];
+  }
   return y;
 }
 

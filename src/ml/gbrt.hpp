@@ -47,6 +47,9 @@ class Gbrt : public Regressor {
   std::vector<double> featureImportanceByGain() const;
 
   std::size_t numTrees() const { return trees_.size(); }
+  const std::vector<RegressionTree>& trees() const { return trees_; }
+  const GbrtConfig& config() const { return config_; }
+  double baseline() const { return baseline_; }
   double trainLoss() const { return trainLoss_; }
 
   /// Text serialization (used by ml/serialize).
@@ -55,13 +58,33 @@ class Gbrt : public Regressor {
 
  private:
   void fitFromSource(const RowSource& source);
+  /// Rebuilds the flat forest from trees_ (after every fit and read).
+  void flatten();
+
+  /// A node of the flat forest: child[0] is taken when
+  /// x[feature] <= threshold, child[1] otherwise (NaN included). A leaf is
+  /// a node whose two children are itself.
+  struct FlatNode {
+    std::int32_t feature;
+    std::int32_t child[2];
+    double threshold;
+  };
+  struct FlatTree {
+    std::int32_t root;
+    std::int32_t steps;  ///< comparisons per walk: the tree's depth - 1
+  };
 
   GbrtConfig config_;
   Binner binner_;
   double baseline_ = 0.0;
-  std::vector<RegressionTree> trees_;
+  std::vector<RegressionTree> trees_;  ///< kept for write, importance
   std::size_t numFeatures_ = 0;
   double trainLoss_ = 0.0;
+  // predict() walks these: every tree's nodes back to back, leaf values
+  // indexed like the nodes.
+  std::vector<FlatNode> flatNodes_;
+  std::vector<double> flatLeaves_;
+  std::vector<FlatTree> flatTrees_;
 };
 
 }  // namespace hcp::ml

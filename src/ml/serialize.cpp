@@ -223,6 +223,7 @@ void Gbrt::read(std::istream& is) {
     t.read(is, numFeatures_);
     trees_.push_back(std::move(t));
   }
+  flatten();
 }
 
 }  // namespace hcp::ml

@@ -308,20 +308,18 @@ void RegressionTree::fit(const Dataset& data, const TreeConfig& config,
 }
 
 int RegressionTree::depth() const {
-  // Iterative depth computation over the node array.
+  // Children follow their parent, so one reverse sweep sees both children's
+  // heights before the parent's: linear even when a loaded tree shares
+  // subtrees.
   if (nodes_.empty()) return 0;
-  std::vector<std::pair<std::int32_t, int>> stack{{0, 1}};
-  int best = 0;
-  while (!stack.empty()) {
-    auto [idx, d] = stack.back();
-    stack.pop_back();
-    best = std::max(best, d);
-    if (nodes_[static_cast<std::size_t>(idx)].feature >= 0) {
-      stack.push_back({nodes_[static_cast<std::size_t>(idx)].left, d + 1});
-      stack.push_back({nodes_[static_cast<std::size_t>(idx)].right, d + 1});
-    }
+  std::vector<int> height(nodes_.size(), 1);
+  for (std::size_t i = nodes_.size(); i-- > 0;) {
+    const Node& n = nodes_[i];
+    if (n.feature >= 0)
+      height[i] = 1 + std::max(height[static_cast<std::size_t>(n.left)],
+                               height[static_cast<std::size_t>(n.right)]);
   }
-  return best;
+  return height[0];
 }
 
 }  // namespace hcp::ml

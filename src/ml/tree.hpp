@@ -96,7 +96,6 @@ class RegressionTree {
   void write(std::ostream& os) const;
   void read(std::istream& is, std::size_t numFeatures);
 
- private:
   struct Node {
     std::int32_t feature = -1;     ///< -1 = leaf
     std::uint8_t bin = 0;          ///< binned comparison: <= goes left
@@ -105,6 +104,11 @@ class RegressionTree {
     double value = 0.0;            ///< leaf prediction
   };
 
+  /// Preorder node array: node 0 is the root and every child index is
+  /// greater than its parent's (fitted and loaded trees alike).
+  const std::vector<Node>& nodes() const { return nodes_; }
+
+ private:
   std::int32_t build(const std::vector<std::vector<std::uint8_t>>& binned,
                      const std::vector<double>& targets,
                      std::vector<std::size_t>& rows,

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,6 +21,7 @@
 #include "core/resolver.hpp"
 #include "support/parallel.hpp"
 #include "support/telemetry.hpp"
+#include "test_util.hpp"
 
 namespace hcp::core {
 namespace {
@@ -172,6 +179,124 @@ TEST_F(CoreTest, ResolverHintsSortedBySeverity) {
       flow_->design, predictor.findHotspots(flow_->design, {}, 10), {});
   for (std::size_t i = 1; i < hints.size(); ++i)
     EXPECT_GE(hints[i - 1].severity, hints[i].severity);
+}
+
+// Every region of the fixture design, in (function, line) order, one line
+// each: `function line ops mean max` with the two doubles as %a hexfloats,
+// so the text is exact.
+std::string hotspotLines(std::vector<Hotspot> hotspots) {
+  std::sort(hotspots.begin(), hotspots.end(),
+            [](const Hotspot& a, const Hotspot& b) {
+              return std::pair(a.functionIndex, a.sourceLine) <
+                     std::pair(b.functionIndex, b.sourceLine);
+            });
+  std::string out;
+  char buf[160];
+  for (const Hotspot& h : hotspots) {
+    std::snprintf(buf, sizeof buf, " %d %zu %a %a\n", h.sourceLine, h.numOps,
+                  h.meanPredicted, h.maxPredicted);
+    out += h.functionName + buf;
+  }
+  return out;
+}
+
+// The predicted value of every region, pinned to
+// results/golden_hotspots_face_detection.txt. Any drift means the trained
+// model, the feature extraction or the model evaluation changed a bit of
+// output. Regenerate deliberately with HCP_REGEN_GOLDEN=1.
+TEST_F(CoreTest, HotspotValuesMatchCheckedInGolden) {
+  CongestionPredictor predictor{PredictorOptions{}};
+  predictor.train(*data_);
+  const std::string lines =
+      hotspotLines(predictor.findHotspots(flow_->design, {}, SIZE_MAX));
+  ASSERT_FALSE(lines.empty());
+  const std::string goldenPath =
+      std::string(HCP_RESULTS_DIR) + "/golden_hotspots_face_detection.txt";
+  if (std::getenv("HCP_REGEN_GOLDEN") != nullptr) {
+    std::ofstream(goldenPath, std::ios::binary) << lines;
+    GTEST_SKIP() << "golden hotspots regenerated at " << goldenPath;
+  }
+  EXPECT_EQ(lines, test::slurpFile(goldenPath))
+      << "predicted hotspots drifted from " << goldenPath
+      << " (regenerate deliberately with HCP_REGEN_GOLDEN=1)";
+}
+
+void expectSameHotspots(const std::vector<Hotspot>& a,
+                        const std::vector<Hotspot>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].functionIndex, b[i].functionIndex) << "rank " << i;
+    EXPECT_EQ(a[i].functionName, b[i].functionName) << "rank " << i;
+    EXPECT_EQ(a[i].sourceLine, b[i].sourceLine) << "rank " << i;
+    EXPECT_EQ(a[i].numOps, b[i].numOps) << "rank " << i;
+    EXPECT_EQ(a[i].meanPredicted, b[i].meanPredicted) << "rank " << i;
+    EXPECT_EQ(a[i].maxPredicted, b[i].maxPredicted) << "rank " << i;
+  }
+}
+
+// Regions with bit-equal means rank by (function, line) ascending, so a
+// top-k cut through a tie group keeps the same regions on every platform.
+TEST_F(CoreTest, HotspotTiesRankInKeyOrder) {
+  CongestionPredictor predictor{PredictorOptions{}};
+  predictor.train(*data_);
+  const auto all = predictor.findHotspots(flow_->design, {}, SIZE_MAX);
+  std::size_t cut = 0;  // a top-k that splits the first tie group
+  for (std::size_t i = 1; i < all.size(); ++i) {
+    const Hotspot& a = all[i - 1];
+    const Hotspot& b = all[i];
+    ASSERT_GE(a.meanPredicted, b.meanPredicted) << "rank " << i;
+    if (a.meanPredicted != b.meanPredicted) continue;
+    EXPECT_LT(std::pair(a.functionIndex, a.sourceLine),
+              std::pair(b.functionIndex, b.sourceLine))
+        << a.functionName << ":" << a.sourceLine << " ranks before "
+        << b.functionName << ":" << b.sourceLine << " at equal mean";
+    if (cut == 0) cut = i;
+  }
+  // The fixture's six identical stage/weak functions tie exactly.
+  ASSERT_GT(cut, 0u) << "fixture has no tie group";
+  const auto top = predictor.findHotspots(flow_->design, {}, cut);
+  expectSameHotspots(top, {all.begin(),
+                           all.begin() + static_cast<std::ptrdiff_t>(cut)});
+}
+
+// findHotspots scores ops on the pool; the ranking must not depend on the
+// thread count and must equal a serial fold of predictOp's average.
+TEST_F(CoreTest, HotspotsThreadInvariantAndMatchSerialOracle) {
+  CongestionPredictor predictor{PredictorOptions{}};
+  predictor.train(*data_);
+  const hls::SynthesizedDesign& design = flow_->design;
+
+  features::FeatureExtractor extractor(design, {});
+  std::map<std::pair<std::uint32_t, std::int32_t>, Hotspot> regions;
+  for (std::uint32_t f = 0; f < design.module->numFunctions(); ++f) {
+    const ir::Function& fn = design.module->function(f);
+    for (ir::OpId op = 0; op < fn.numOps(); ++op) {
+      if (!ir::isFunctionalUnit(fn.op(op).opcode)) continue;
+      const double y = predictor.predictOp(extractor, f, op).average;
+      Hotspot& h = regions[{f, fn.op(op).sourceLine}];
+      h.functionIndex = f;
+      h.functionName = fn.name();
+      h.sourceLine = fn.op(op).sourceLine;
+      h.meanPredicted += y;  // the sum until all ops are in
+      h.maxPredicted = std::max(h.maxPredicted, y);
+      ++h.numOps;
+    }
+  }
+  std::vector<Hotspot> oracle;
+  for (auto& [key, h] : regions) {
+    h.meanPredicted /= static_cast<double>(h.numOps);
+    oracle.push_back(h);
+  }
+  std::stable_sort(oracle.begin(), oracle.end(),
+                   [](const Hotspot& a, const Hotspot& b) {
+                     return a.meanPredicted > b.meanPredicted;
+                   });
+
+  for (std::size_t threads : {1, 2, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    support::ScopedThreadLimit limit(threads);
+    expectSameHotspots(predictor.findHotspots(design, {}, SIZE_MAX), oracle);
+  }
 }
 
 TEST(RunFlows, ByteAndCounterIdenticalAcrossThreadCounts) {

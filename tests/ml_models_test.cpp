@@ -7,6 +7,7 @@
 #include "ml/metrics.hpp"
 #include "ml/mlp.hpp"
 #include "support/rng.hpp"
+#include "test_util.hpp"
 
 namespace hcp::ml {
 namespace {
@@ -222,6 +223,47 @@ TEST(GbrtTest, DeterministicForSeed) {
   a.fit(data);
   b.fit(data);
   EXPECT_DOUBLE_EQ(a.predict(data.row(1)), b.predict(data.row(1)));
+}
+
+std::vector<std::vector<double>> firstRows(const Dataset& data,
+                                           std::size_t n) {
+  std::vector<std::vector<double>> rows;
+  for (std::size_t i = 0; i < std::min(n, data.size()); ++i)
+    rows.push_back(data.row(i));
+  return rows;
+}
+
+TEST(GbrtTest, PredictEqualsTreeByTreeSum) {
+  const auto data = nonlinearData(600, 6, 17);
+  Gbrt model({.numEstimators = 60, .seed = 3});
+  model.fit(data);
+  test::expectPredictEqualsTreeSum(model, firstRows(data, 40));
+}
+
+TEST(GbrtTest, PredictEqualsTreeByTreeSumOnSingleLeafAndUnbalancedTrees) {
+  // x1 is constant: a stage that samples only x1 cannot split and grows a
+  // single leaf. Skewed x0 with a large leaf minimum leaves trees whose
+  // leaves sit at different depths.
+  Rng rng(5);
+  Dataset data(2);
+  for (int i = 0; i < 300; ++i) {
+    const double x0 = std::pow(rng.uniformReal(0, 1), 4.0);
+    data.add({x0, 1.0}, x0 > 0.3 ? 10.0 * x0 : rng.normal(0, 0.1));
+  }
+  Gbrt model({.numEstimators = 40,
+              .maxDepth = 5,
+              .minSamplesLeaf = 20,
+              .featureFraction = 0.5,
+              .seed = 2});
+  model.fit(data);
+  bool sawLeaf = false, sawUnbalanced = false;
+  for (const RegressionTree& t : model.trees()) {
+    sawLeaf |= t.numNodes() == 1;
+    sawUnbalanced |= t.numNodes() + 1 < (std::size_t{1} << t.depth());
+  }
+  ASSERT_TRUE(sawLeaf);
+  ASSERT_TRUE(sawUnbalanced);
+  test::expectPredictEqualsTreeSum(model, firstRows(data, 20));
 }
 
 /// Property sweep: all three models produce finite predictions across

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -12,6 +13,7 @@
 #include "ml/serialize.hpp"
 #include "support/failpoint.hpp"
 #include "support/rng.hpp"
+#include "test_util.hpp"
 
 namespace hcp::ml {
 namespace {
@@ -70,6 +72,71 @@ TEST(Serialize, GbrtImportanceSurvives) {
   const auto b = restoredGbrt.featureImportance();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t f = 0; f < a.size(); ++f) EXPECT_DOUBLE_EQ(a[f], b[f]);
+}
+
+TEST(Serialize, LoadedGbrtPredictEqualsTreeByTreeSum) {
+  const auto data = makeData(300, 7);
+  Gbrt model({.numEstimators = 40});
+  model.fit(data);
+  std::stringstream buffer;
+  saveModel(model, buffer);
+  const auto restored = loadModel(buffer);
+  std::vector<std::vector<double>> rows;
+  for (std::size_t i = 0; i < 30; ++i) rows.push_back(data.row(i));
+  test::expectPredictEqualsTreeSum(dynamic_cast<const Gbrt&>(*restored), rows);
+}
+
+TEST(Serialize, HandWrittenGbrtPredictEqualsTreeByTreeSum) {
+  // A single-leaf tree, an unbalanced tree (a leaf at depth 2 beside a split
+  // at depth 2) and a tree that splits twice on one feature.
+  std::stringstream buffer(
+      "hcp-model gbrt 1\n"
+      "config 3 0.5 3 1 1 1 32 1\n"
+      "state 2.25 2 0\n"
+      "forest 3\n"
+      "tree 1\n"
+      "-1 0 0 -1 -1 0.75\n"
+      "splits 0\n0\n"
+      "tree 5\n"
+      "0 0 0.5 1 2 0\n"
+      "-1 0 0 -1 -1 -1\n"
+      "1 0 -1 3 4 0\n"
+      "-1 0 0 -1 -1 4\n"
+      "-1 0 0 -1 -1 8\n"
+      "splits 0\n0\n"
+      "tree 5\n"
+      "1 0 0 1 4 0\n"
+      "1 0 -2 2 3 0\n"
+      "-1 0 0 -1 -1 16\n"
+      "-1 0 0 -1 -1 32\n"
+      "-1 0 0 -1 -1 64\n"
+      "splits 0\n0\n");
+  const auto restored = loadModel(buffer);
+  const auto& gbrt = dynamic_cast<const Gbrt&>(*restored);
+  ASSERT_EQ(gbrt.numTrees(), 3u);
+  // x0 = 0.5 goes left at the threshold; NaN goes right.
+  EXPECT_EQ(gbrt.predict({0.5, -1.0}), 2.25 + 0.5 * (0.75 - 1 + 32));
+  EXPECT_EQ(gbrt.predict({std::nan(""), -1.0}), 2.25 + 0.5 * (0.75 + 4 + 32));
+  EXPECT_EQ(gbrt.predict({1.0, std::nan("")}), 2.25 + 0.5 * (0.75 + 8 + 64));
+  test::expectPredictEqualsTreeSum(gbrt, {{0.0, 0.0}, {1.0, -3.0}});
+}
+
+TEST(Serialize, GbrtWithSharedSubtreesLoadsInLinearTime) {
+  // Forward links may be shared: 62 split nodes whose two children are both
+  // the next node describe 2^62 root-to-leaf paths over 63 nodes. Loading
+  // (which sizes each walk by the tree's depth) must stay linear.
+  std::ostringstream text;
+  text << "hcp-model gbrt 1\nconfig 1 1 63 1 1 1 32 1\nstate 0 1 0\n"
+       << "forest 1\ntree 63\n";
+  for (int i = 0; i < 62; ++i)
+    text << "0 0 " << i << ' ' << i + 1 << ' ' << i + 1 << " 0\n";
+  text << "-1 0 0 -1 -1 5\nsplits 0\n0\n";
+  std::stringstream buffer(text.str());
+  const auto restored = loadModel(buffer);
+  const auto& gbrt = dynamic_cast<const Gbrt&>(*restored);
+  EXPECT_EQ(gbrt.trees().front().depth(), 63);
+  EXPECT_EQ(gbrt.predict({-1.0}), 5.0);
+  EXPECT_EQ(gbrt.predict({100.0}), 5.0);
 }
 
 TEST(Serialize, RejectsGarbage) {

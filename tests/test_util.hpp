@@ -6,11 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
+
+#include "ml/gbrt.hpp"
 
 namespace hcp::test {
 
@@ -90,6 +95,58 @@ inline std::string withToken(const std::string& text,
 inline void writeRaw(const std::string& path, const std::string& bytes) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   os << bytes;
+}
+
+/// Requires Gbrt::predict to equal, bit for bit, the tree-by-tree sum
+/// baseline + Σ learningRate·RegressionTree::predict in tree order. Probes
+/// are `rows` plus, for every split node, rows steered down the node's path
+/// (ancestors taken at or one ulp above their thresholds) whose own feature
+/// is the threshold exactly, one ulp either side, NaN or ±inf.
+inline void expectPredictEqualsTreeSum(
+    const ml::Gbrt& model, const std::vector<std::vector<double>>& rows) {
+  using Node = ml::RegressionTree::Node;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto treeSum = [&](const std::vector<double>& row) {
+    double y = model.baseline();
+    for (const ml::RegressionTree& t : model.trees())
+      y += model.config().learningRate * t.predict(row);
+    return y;
+  };
+  ASSERT_FALSE(rows.empty());
+  std::vector<std::vector<double>> probes = rows;
+  for (const ml::RegressionTree& t : model.trees()) {
+    const std::vector<Node>& nodes = t.nodes();
+    // parent[c] = {parent index, c is its right child}; -1 at the root.
+    std::vector<std::pair<std::int32_t, bool>> parent(nodes.size(),
+                                                      {-1, false});
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+      if (nodes[i].feature >= 0) {
+        const auto self = static_cast<std::int32_t>(i);
+        parent[static_cast<std::size_t>(nodes[i].left)] = {self, false};
+        parent[static_cast<std::size_t>(nodes[i].right)] = {self, true};
+      }
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      const Node& n = nodes[i];
+      if (n.feature < 0) continue;
+      std::vector<double> steered = rows[i % rows.size()];
+      for (std::size_t c = i; parent[c].first >= 0;
+           c = static_cast<std::size_t>(parent[c].first)) {
+        const Node& a = nodes[static_cast<std::size_t>(parent[c].first)];
+        steered[static_cast<std::size_t>(a.feature)] =
+            parent[c].second ? std::nextafter(a.threshold, inf) : a.threshold;
+      }
+      for (double v : {n.threshold, std::nextafter(n.threshold, -inf),
+                       std::nextafter(n.threshold, inf), nan, inf, -inf}) {
+        steered[static_cast<std::size_t>(n.feature)] = v;
+        probes.push_back(steered);
+      }
+    }
+  }
+  for (std::size_t p = 0; p < probes.size(); ++p) {
+    EXPECT_EQ(model.predict(probes[p]), treeSum(probes[p])) << "probe " << p;
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 }  // namespace hcp::test

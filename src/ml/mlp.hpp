@@ -46,9 +46,6 @@ class MlpRegressor : public Regressor {
     std::vector<double> b;
   };
 
-  std::vector<double> forward(const std::vector<double>& z,
-                              std::vector<std::vector<double>>* acts) const;
-
   MlpConfig config_;
   StandardScaler scaler_;
   double yMean_ = 0.0, yStd_ = 1.0;

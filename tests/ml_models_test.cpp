@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 #include "ml/gbrt.hpp"
 #include "ml/linear.hpp"
 #include "ml/metrics.hpp"
 #include "ml/mlp.hpp"
+#include "ml/serialize.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "support/telemetry.hpp"
 #include "test_util.hpp"
 
 namespace hcp::ml {
@@ -97,11 +104,19 @@ TEST(Mlp, BeatsLinearOnNonlinearData) {
 }
 
 TEST(Mlp, EarlyStoppingBoundsEpochs) {
-  const auto data = linearData(300, 4, 0.01, 6);
+  // Noisy targets: validation loss plateaus once the signal is fitted.
+  const auto data = linearData(300, 4, 0.5, 6);
   MlpRegressor model({.hiddenLayers = {16}, .maxEpochs = 200, .patience = 3});
   model.fit(data);
-  EXPECT_LE(model.epochsRun(), 200u);
+  EXPECT_LT(model.epochsRun(), 200u) << "early stopping never fired";
+  EXPECT_GT(model.epochsRun(), 3u);
   EXPECT_TRUE(std::isfinite(model.bestValidationLoss()));
+}
+
+std::string modelBytes(const Regressor& model) {
+  std::ostringstream os;
+  saveModel(model, os);
+  return os.str();
 }
 
 TEST(Mlp, DeterministicForSeed) {
@@ -110,7 +125,113 @@ TEST(Mlp, DeterministicForSeed) {
   MlpRegressor b({.maxEpochs = 10, .seed = 5});
   a.fit(data);
   b.fit(data);
-  EXPECT_DOUBLE_EQ(a.predict(data.row(0)), b.predict(data.row(0)));
+  EXPECT_EQ(modelBytes(a), modelBytes(b));
+}
+
+/// Fits `config` on `data` and returns the error message; fails the test
+/// when the fit does not throw.
+std::string fitError(const MlpConfig& config, const Dataset& data) {
+  try {
+    MlpRegressor(config).fit(data);
+  } catch (const hcp::Error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "fit accepted an invalid config";
+  return "";
+}
+
+TEST(Mlp, RejectsZeroBatchSize) {
+  const auto data = linearData(50, 3, 0.1, 8);
+  EXPECT_NE(fitError({.batchSize = 0}, data).find("batchSize"),
+            std::string::npos);
+}
+
+TEST(Mlp, RejectsValidationFractionLeavingNoTrainingRows) {
+  const auto data = linearData(50, 3, 0.1, 8);
+  for (double f : {1.0, 1.5})
+    EXPECT_NE(fitError({.validationFraction = f}, data)
+                  .find("validationFraction"),
+              std::string::npos)
+        << f;
+}
+
+TEST(Mlp, RejectsZeroWidthHiddenLayer) {
+  const auto data = linearData(50, 3, 0.1, 8);
+  EXPECT_NE(fitError({.hiddenLayers = {8, 0}}, data).find("hiddenLayers"),
+            std::string::npos);
+}
+
+/// Nonlinear target over five uniform features plus one constant column
+/// (standardizes to exactly zero, so its weight gradients are all zero).
+Dataset goldenData(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Dataset data(6);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<double> x(6, 3.0);
+    for (std::size_t j = 0; j < 5; ++j) x[j] = rng.uniformReal(-2, 2);
+    data.add(x, 4 * x[0] * x[1] + x[2] * x[2] - x[3] + rng.normal(0, 0.3));
+  }
+  return data;
+}
+
+/// Two hidden layers; 203 rows leave 183 after the 10% validation split,
+/// so the last of each epoch's 16-row batches is ragged (7 rows).
+const MlpConfig kGoldenConfig{.hiddenLayers = {12, 6},
+                              .batchSize = 16,
+                              .maxEpochs = 400,
+                              .patience = 5,
+                              .seed = 11};
+
+// The fitted model's bytes and its predictions on unseen rows (as exact
+// hexfloats) must match results/golden_mlp_model.txt byte for byte. Any
+// change to the fit's floating-point sums shows up here. The file is
+// regenerated when missing or when HCP_REGEN_GOLDEN is set.
+TEST(Mlp, GoldenModelBytes) {
+  MlpRegressor model(kGoldenConfig);
+  model.fit(goldenData(203, 21));
+  ASSERT_LT(model.epochsRun(), kGoldenConfig.maxEpochs)
+      << "early stopping must fire";
+
+  std::string bytes = modelBytes(model);
+  const Dataset unseen = goldenData(8, 22);
+  for (std::size_t i = 0; i < unseen.size(); ++i) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "predict %a\n", model.predict(unseen.row(i)));
+    bytes += buf;
+  }
+
+  const std::string goldenPath =
+      std::string(HCP_RESULTS_DIR) + "/golden_mlp_model.txt";
+  if (std::getenv("HCP_REGEN_GOLDEN") != nullptr ||
+      !std::ifstream(goldenPath).good()) {
+    std::ofstream(goldenPath, std::ios::binary) << bytes;
+    GTEST_SKIP() << "golden model regenerated at " << goldenPath;
+  }
+  EXPECT_EQ(bytes, test::slurpFile(goldenPath))
+      << "fitted ANN drifted from " << goldenPath
+      << " (regenerate deliberately with HCP_REGEN_GOLDEN=1)";
+}
+
+// Batch gradients are formed on the thread pool; the model bytes must not
+// depend on the thread count or on telemetry (which makes a one-thread
+// region run through the pool's task path).
+TEST(Mlp, ModelBytesIndependentOfThreadsAndTelemetry) {
+  const Dataset data = goldenData(203, 21);
+  const bool wasEnabled = support::telemetry::enabled();
+  std::string reference;
+  for (bool telemetryOn : {false, true}) {
+    support::telemetry::setEnabled(telemetryOn);
+    for (std::size_t threads : {1, 2, 4}) {
+      support::ScopedThreadLimit limit(threads);
+      MlpRegressor model(kGoldenConfig);
+      model.fit(data);
+      const std::string bytes = modelBytes(model);
+      if (reference.empty()) reference = bytes;
+      EXPECT_EQ(bytes, reference)
+          << threads << " threads, telemetry " << telemetryOn;
+    }
+  }
+  support::telemetry::setEnabled(wasEnabled);
 }
 
 // --- trees -------------------------------------------------------------

@@ -36,32 +36,34 @@ std::unique_ptr<ml::Regressor> CongestionPredictor::makeModel() const {
   return nullptr;
 }
 
-void CongestionPredictor::train(const LabeledDataset& data) {
-  HCP_SPAN("train");
-  HCP_CHECK_MSG(data.vertical.size() > 0, "empty training dataset");
+void CongestionPredictor::fitModels(const ml::RowSource& vertical,
+                                    const ml::RowSource& horizontal,
+                                    const ml::RowSource& average) {
   vertical_ = makeModel();
   horizontal_ = makeModel();
   average_ = makeModel();
-  vertical_->fit(data.vertical);
-  horizontal_->fit(data.horizontal);
-  average_->fit(data.average);
+  vertical_->fitStreaming(vertical);
+  horizontal_->fitStreaming(horizontal);
+  average_->fitStreaming(average);
   trained_ = true;
+}
+
+void CongestionPredictor::train(const LabeledDataset& data) {
+  HCP_SPAN("train");
+  HCP_CHECK_MSG(data.vertical.size() > 0, "empty training dataset");
+  fitModels(ml::DatasetSource(data.vertical),
+            ml::DatasetSource(data.horizontal),
+            ml::DatasetSource(data.average));
 }
 
 void CongestionPredictor::trainFromShards(const ml::shards::ShardSet& set) {
   HCP_SPAN("train_from_shards");
   HCP_CHECK_MSG(set.totalSamples() > 0,
                 "empty shard set: no training samples under " << set.dir());
-  vertical_ = makeModel();
-  horizontal_ = makeModel();
-  average_ = makeModel();
-  vertical_->fitStreaming(
-      ml::shards::ShardRowSource(set, ml::shards::Label::Vertical));
-  horizontal_->fitStreaming(
-      ml::shards::ShardRowSource(set, ml::shards::Label::Horizontal));
-  average_->fitStreaming(
-      ml::shards::ShardRowSource(set, ml::shards::Label::Average));
-  trained_ = true;
+  using ml::shards::Label;
+  fitModels(ml::shards::ShardRowSource(set, Label::Vertical),
+            ml::shards::ShardRowSource(set, Label::Horizontal),
+            ml::shards::ShardRowSource(set, Label::Average));
 }
 
 OpPrediction CongestionPredictor::predictOp(

@@ -53,10 +53,10 @@ class CongestionPredictor {
   /// Trains the three regressors (V, H, avg) on the dataset.
   void train(const LabeledDataset& data);
 
-  /// Trains the three regressors out-of-core from a shard set: each model
-  /// fits via its streaming path over a ShardRowSource — byte-identical
-  /// model to train() on the materialized dataset, with one shard resident
-  /// at a time. Fails loudly on an empty set.
+  /// Trains the three regressors out-of-core from a shard set, each over a
+  /// ShardRowSource with one shard resident at a time — byte-identical
+  /// models to train() on the materialized dataset. Fails loudly on an
+  /// empty set.
   void trainFromShards(const ml::shards::ShardSet& set);
 
   bool trained() const { return trained_; }
@@ -90,6 +90,10 @@ class CongestionPredictor {
 
  private:
   std::unique_ptr<ml::Regressor> makeModel() const;
+  /// Builds and fits the vertical, horizontal and average models in turn.
+  void fitModels(const ml::RowSource& vertical,
+                 const ml::RowSource& horizontal,
+                 const ml::RowSource& average);
 
   PredictorOptions options_;
   std::unique_ptr<ml::Regressor> vertical_, horizontal_, average_;

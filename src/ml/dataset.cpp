@@ -1,7 +1,6 @@
 #include "ml/dataset.hpp"
 
 #include <cmath>
-#include <mutex>
 
 #include "ml/sample_source.hpp"
 
@@ -10,23 +9,6 @@ namespace hcp::ml {
 Dataset Dataset::subset(const std::vector<std::size_t>& indices) const {
   Dataset out(numFeatures_);
   for (std::size_t i : indices) out.add(row(i), target(i));
-  return out;
-}
-
-Dataset Dataset::subsetView(const std::vector<std::size_t>& indices) const {
-  Dataset out(numFeatures_);
-  {
-    // k-fold CV takes views of one dataset from several pool threads at
-    // once; they must all see the one token created on first use.
-    static std::mutex tokenMutex;
-    const std::lock_guard<std::mutex> lock(tokenMutex);
-    if (!liveToken_) liveToken_ = std::make_shared<const char>('\0');
-    out.baseLive_ = liveToken_;
-  }
-  out.base_ = this;
-  out.index_ = indices;
-  out.targets_.reserve(indices.size());
-  for (std::size_t i : indices) out.targets_.push_back(target(i));
   return out;
 }
 
@@ -60,45 +42,6 @@ std::vector<Split> kFoldSplits(std::size_t n, std::size_t k,
     }
   }
   return folds;
-}
-
-void StandardScaler::fit(const Dataset& data) {
-  HCP_CHECK(data.size() > 0);
-  const std::size_t n = data.size();
-  const std::size_t d = data.numFeatures();
-  mean_.assign(d, 0.0);
-  std_.assign(d, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& r = data.row(i);
-    for (std::size_t j = 0; j < d; ++j) mean_[j] += r[j];
-  }
-  for (double& m : mean_) m /= static_cast<double>(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& r = data.row(i);
-    for (std::size_t j = 0; j < d; ++j)
-      std_[j] += (r[j] - mean_[j]) * (r[j] - mean_[j]);
-  }
-  for (double& s : std_) {
-    s = std::sqrt(s / static_cast<double>(n));
-    if (s < 1e-12) s = 1.0;  // constant column
-  }
-}
-
-void StandardScaler::fit(const std::vector<std::vector<double>>& rows) {
-  HCP_CHECK(!rows.empty());
-  const std::size_t d = rows.front().size();
-  mean_.assign(d, 0.0);
-  std_.assign(d, 0.0);
-  for (const auto& r : rows)
-    for (std::size_t j = 0; j < d; ++j) mean_[j] += r[j];
-  for (double& m : mean_) m /= static_cast<double>(rows.size());
-  for (const auto& r : rows)
-    for (std::size_t j = 0; j < d; ++j)
-      std_[j] += (r[j] - mean_[j]) * (r[j] - mean_[j]);
-  for (double& s : std_) {
-    s = std::sqrt(s / static_cast<double>(rows.size()));
-    if (s < 1e-12) s = 1.0;  // constant column
-  }
 }
 
 void StandardScaler::fit(const RowSource& source) {

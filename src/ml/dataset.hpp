@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <istream>
-#include <memory>
 #include <ostream>
 #include <utility>
 #include <vector>
@@ -24,53 +23,7 @@ class Dataset {
   Dataset() = default;
   explicit Dataset(std::size_t numFeatures) : numFeatures_(numFeatures) {}
 
-  // Moving a dataset relocates (or, for assignment, destroys) its row
-  // storage, so any subset view holding a pointer to it would dangle.
-  // Both operations expire the liveness token views watch: a stale view
-  // then fails loudly on first row access instead of reading freed memory.
-  Dataset(const Dataset& other)
-      : numFeatures_(other.numFeatures_),
-        rows_(other.rows_),
-        targets_(other.targets_),
-        base_(other.base_),
-        index_(other.index_),
-        baseLive_(other.baseLive_) {}
-  Dataset& operator=(const Dataset& other) {
-    if (this == &other) return *this;
-    liveToken_.reset();  // this object's old rows go away
-    numFeatures_ = other.numFeatures_;
-    rows_ = other.rows_;
-    targets_ = other.targets_;
-    base_ = other.base_;
-    index_ = other.index_;
-    baseLive_ = other.baseLive_;
-    return *this;
-  }
-  Dataset(Dataset&& other) noexcept
-      : numFeatures_(other.numFeatures_),
-        rows_(std::move(other.rows_)),
-        targets_(std::move(other.targets_)),
-        base_(other.base_),
-        index_(std::move(other.index_)),
-        baseLive_(std::move(other.baseLive_)) {
-    other.liveToken_.reset();  // views of `other` must not follow the move
-  }
-  Dataset& operator=(Dataset&& other) noexcept {
-    if (this == &other) return *this;
-    liveToken_.reset();
-    other.liveToken_.reset();
-    numFeatures_ = other.numFeatures_;
-    rows_ = std::move(other.rows_);
-    targets_ = std::move(other.targets_);
-    base_ = other.base_;
-    index_ = std::move(other.index_);
-    baseLive_ = std::move(other.baseLive_);
-    return *this;
-  }
-  ~Dataset() = default;
-
   void add(std::vector<double> row, double target) {
-    HCP_CHECK_MSG(!isView(), "cannot add rows to a subset view");
     if (numFeatures_ == 0) numFeatures_ = row.size();
     HCP_CHECK_MSG(row.size() == numFeatures_,
                   "row has " << row.size() << " features, expected "
@@ -79,27 +32,21 @@ class Dataset {
     targets_.push_back(target);
   }
 
+  /// Appends `other`'s rows; `other` may be this dataset (its rows are
+  /// then doubled).
   void merge(const Dataset& other) {
-    HCP_CHECK_MSG(!isView(), "cannot merge into a subset view");
     HCP_CHECK_MSG(numFeatures_ == 0 || other.size() == 0 ||
                       other.numFeatures() == numFeatures_,
                   "merge feature-count mismatch: dataset has "
                       << numFeatures_ << " features, other has "
                       << other.numFeatures());
-    for (std::size_t i = 0; i < other.size(); ++i)
-      add(other.row(i), other.target(i));
+    const std::size_t n = other.size();  // bound at entry: `other` may be *this
+    for (std::size_t i = 0; i < n; ++i) add(other.row(i), other.target(i));
   }
 
   std::size_t size() const { return targets_.size(); }
   std::size_t numFeatures() const { return numFeatures_; }
   const std::vector<double>& row(std::size_t i) const {
-    if (base_ != nullptr) {
-      HCP_CHECK_MSG(!baseLive_.expired(),
-                    "subset view used after its base dataset was destroyed, "
-                    "moved or reassigned");
-      HCP_CHECK(i < index_.size());
-      return base_->row(index_[i]);
-    }
     HCP_CHECK(i < rows_.size());
     return rows_[i];
   }
@@ -107,42 +54,16 @@ class Dataset {
     HCP_CHECK(i < targets_.size());
     return targets_[i];
   }
-  /// Full row storage; only valid on owning datasets (views share their
-  /// base's storage — iterate via row(i) instead).
-  const std::vector<std::vector<double>>& rows() const {
-    HCP_CHECK_MSG(!isView(), "rows() is not available on a subset view");
-    return rows_;
-  }
+  const std::vector<std::vector<double>>& rows() const { return rows_; }
   const std::vector<double>& targets() const { return targets_; }
 
   /// Deep-copying subset by row indices.
   Dataset subset(const std::vector<std::size_t>& indices) const;
 
-  /// Non-owning subset view: shares the base dataset's feature rows instead
-  /// of copying them (targets are materialized — they are cheap and keep
-  /// targets() usable). The view is valid only while the base dataset (and,
-  /// transitively, its base) outlives it; k-fold CV is the intended use.
-  /// Row access through a view whose base was destroyed, moved from or
-  /// reassigned fails loudly (hcp::Error) instead of dereferencing freed
-  /// storage.
-  Dataset subsetView(const std::vector<std::size_t>& indices) const;
-
-  bool isView() const { return base_ != nullptr; }
-
  private:
   std::size_t numFeatures_ = 0;
   std::vector<std::vector<double>> rows_;
   std::vector<double> targets_;
-  // View state: when base_ is set, rows_ stays empty and row i resolves to
-  // base_->row(index_[i]).
-  const Dataset* base_ = nullptr;
-  std::vector<std::size_t> index_;
-  // Liveness handshake between a base and its views. The base lazily
-  // creates liveToken_ on first subsetView(); each view holds a weak_ptr
-  // copy in baseLive_. Destruction, move or reassignment of the base drops
-  // the token, so every stale view's row() check trips.
-  mutable std::shared_ptr<const char> liveToken_;
-  std::weak_ptr<const char> baseLive_;
 };
 
 struct Split {
@@ -160,18 +81,17 @@ std::vector<Split> kFoldSplits(std::size_t n, std::size_t k,
 /// Column-wise standardization fitted on training data.
 class StandardScaler {
  public:
-  void fit(const Dataset& data);
-  void fit(const std::vector<std::vector<double>>& rows);
-  /// Streaming fit: two ordered passes over the source, summing in the same
-  /// order as the in-memory overloads — identical moments to fit(Dataset)
-  /// on the materialized equivalent.
+  /// Two ordered passes over the source: column means, then standard
+  /// deviations (a constant column gets std 1).
   void fit(const RowSource& source);
   std::vector<double> transform(const std::vector<double>& row) const;
   bool fitted() const { return !mean_.empty(); }
   const std::vector<double>& mean() const { return mean_; }
   const std::vector<double>& std() const { return std_; }
 
-  /// Text serialization (used by ml/serialize).
+  /// Text serialization (used by ml/serialize). read() rejects a std that
+  /// is not positive: a fit never writes one, and it would make every
+  /// prediction NaN or infinite.
   void write(std::ostream& os) const;
   void read(std::istream& is);
 

@@ -8,14 +8,7 @@
 
 namespace hcp::ml {
 
-void Gbrt::fit(const Dataset& data) {
-  const DatasetSource source(data);
-  fitFromSource(source);
-}
-
-void Gbrt::fitStreaming(const RowSource& source) { fitFromSource(source); }
-
-void Gbrt::fitFromSource(const RowSource& source) {
+void Gbrt::fitStreaming(const RowSource& source) {
   HCP_SPAN("gbrt_fit");
   const std::size_t n = source.size();
   HCP_CHECK(n >= 4);
@@ -26,8 +19,7 @@ void Gbrt::fitFromSource(const RowSource& source) {
   // block are dropped before the next is gathered. One more parallel pass
   // bins every row (a pure per-row transform — safe to run concurrently)
   // and captures the targets, after which the source is not touched again:
-  // the boosting stages below run on the resident uint8 matrix exactly as
-  // the former in-memory implementation did, byte for byte.
+  // the boosting stages below run on the resident uint8 matrix.
   binner_.fitStreamed(source, config_.numBins);
   std::vector<std::vector<std::uint8_t>> binned(n);
   std::vector<double> targets(n, 0.0);

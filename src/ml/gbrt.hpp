@@ -27,13 +27,10 @@ class Gbrt : public Regressor {
  public:
   explicit Gbrt(GbrtConfig config = {}) : config_(config) {}
 
-  void fit(const Dataset& data) override;
-  /// Streaming fit: quantile edges come from the feature-block streamed
-  /// binner and the raw feature matrix is never materialized — only the
-  /// uint8 binned matrix (one byte per value, ~24x smaller than the three
-  /// resident double datasets of the in-memory build) plus the targets stay
-  /// in memory for the boosting stages. fit() routes through the same
-  /// implementation, so streamed and in-memory models are byte-identical.
+  /// Quantile edges come from the feature-block streamed binner and the raw
+  /// feature matrix is never materialized — only the uint8 binned matrix
+  /// (one byte per value) plus the targets stay in memory for the boosting
+  /// stages.
   void fitStreaming(const RowSource& source) override;
   double predict(const std::vector<double>& row) const override;
   std::string name() const override { return "GBRT"; }
@@ -57,7 +54,6 @@ class Gbrt : public Regressor {
   void read(std::istream& is);
 
  private:
-  void fitFromSource(const RowSource& source);
   /// Rebuilds the flat forest from trees_ (after every fit and read).
   void flatten();
 

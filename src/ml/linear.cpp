@@ -12,15 +12,6 @@ double softThreshold(double x, double lambda) {
 }
 }  // namespace
 
-void LassoRegression::fit(const Dataset& data) {
-  const DatasetSource source(data);
-  fitFromSource(source);
-}
-
-void LassoRegression::fitStreaming(const RowSource& source) {
-  fitFromSource(source);
-}
-
 // Gram-form cyclic coordinate descent. The former implementation kept the
 // full standardized design matrix resident (O(n*d) doubles) to update a
 // residual vector per weight change; here the same normal-equation
@@ -34,7 +25,7 @@ void LassoRegression::fitStreaming(const RowSource& source) {
 // which equals the former x_j . (residual + x_j w_j) exactly (same
 // optimization problem, same update rule, same tolerance loop), while the
 // working set is O(d^2) regardless of the sample count.
-void LassoRegression::fitFromSource(const RowSource& source) {
+void LassoRegression::fitStreaming(const RowSource& source) {
   const std::size_t n = source.size();
   HCP_CHECK(n > 0);
   const std::size_t d = source.numFeatures();

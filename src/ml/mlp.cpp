@@ -69,7 +69,7 @@ constexpr std::size_t kSampleGrain = 8;
 constexpr std::size_t kRowGrain = 8;
 }  // namespace
 
-void MlpRegressor::fit(const Dataset& data) {
+void MlpRegressor::fitStreaming(const RowSource& source) {
   HCP_CHECK_MSG(config_.batchSize > 0, "MlpConfig.batchSize must be > 0");
   HCP_CHECK_MSG(config_.validationFraction >= 0.0 &&
                     config_.validationFraction < 1.0,
@@ -77,13 +77,19 @@ void MlpRegressor::fit(const Dataset& data) {
                     << config_.validationFraction);
   for (std::size_t h : config_.hiddenLayers)
     HCP_CHECK_MSG(h > 0, "MlpConfig.hiddenLayers widths must be > 0");
-  HCP_CHECK(data.size() >= 8);
-  const std::size_t n = data.size();
-  const std::size_t d = data.numFeatures();
-  scaler_.fit(data);
+  HCP_CHECK(source.size() >= 8);
+  const std::size_t n = source.size();
+  const std::size_t d = source.numFeatures();
 
-  // Standardize the target too; gradients stay well-scaled.
+  // Standardized rows, row-major n x d. The raw copy lives only until they
+  // are formed.
+  std::vector<double> X(n * d);
+  std::vector<double> Y(n);
   {
+    const Dataset data = materialize(source);
+    scaler_.fit(DatasetSource(data));
+
+    // Standardize the target too; gradients stay well-scaled.
     double m = 0.0;
     for (double y : data.targets()) m += y;
     m /= static_cast<double>(n);
@@ -91,15 +97,12 @@ void MlpRegressor::fit(const Dataset& data) {
     for (double y : data.targets()) v += (y - m) * (y - m);
     yMean_ = m;
     yStd_ = std::max(1e-9, std::sqrt(v / static_cast<double>(n)));
-  }
 
-  // Standardized rows, row-major n x d.
-  std::vector<double> X(n * d);
-  std::vector<double> Y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::vector<double> z = scaler_.transform(data.row(i));
-    std::copy(z.begin(), z.end(), X.data() + i * d);
-    Y[i] = (data.target(i) - yMean_) / yStd_;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::vector<double> z = scaler_.transform(data.row(i));
+      std::copy(z.begin(), z.end(), X.data() + i * d);
+      Y[i] = (data.target(i) - yMean_) / yStd_;
+    }
   }
 
   // Layer shapes: d -> hidden... -> 1, He initialization.

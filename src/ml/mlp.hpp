@@ -28,7 +28,9 @@ class MlpRegressor : public Regressor {
  public:
   explicit MlpRegressor(MlpConfig config = {}) : config_(std::move(config)) {}
 
-  void fit(const Dataset& data) override;
+  /// Reads the source once into memory, standardizes that copy, then
+  /// trains on the contiguous standardized rows.
+  void fitStreaming(const RowSource& source) override;
   double predict(const std::vector<double>& row) const override;
   std::string name() const override { return "ANN"; }
 

@@ -15,16 +15,14 @@ class Regressor {
  public:
   virtual ~Regressor() = default;
 
-  /// Trains on the dataset (models standardize internally as needed).
-  virtual void fit(const Dataset& data) = 0;
+  /// Trains from a RowSource: the one fit every model implements. The
+  /// in-memory and sharded paths both land here, so their trained models
+  /// are byte-identical by construction (DESIGN.md §19).
+  virtual void fitStreaming(const RowSource& source) = 0;
 
-  /// Trains from a streaming RowSource. Lasso and GBRT override this with
-  /// bounded-memory paths whose trained state is byte-identical to fit()
-  /// on the materialized source (DESIGN.md §19); the default materializes
-  /// the source and delegates (models without a native streaming fit).
-  virtual void fitStreaming(const RowSource& source) {
-    fit(materialize(source));
-  }
+  /// Trains on an in-memory dataset (models standardize internally as
+  /// needed).
+  void fit(const Dataset& data) { fitStreaming(DatasetSource(data)); }
 
   virtual double predict(const std::vector<double>& row) const = 0;
 

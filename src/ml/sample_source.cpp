@@ -5,13 +5,14 @@
 namespace hcp::ml {
 
 void DatasetSource::forEach(const RowFn& fn) const {
-  const std::size_t n = data_->size();
-  for (std::size_t i = 0; i < n; ++i) fn(i, data_->row(i), data_->target(i));
+  const std::size_t n = size();
+  for (std::size_t i = 0; i < n; ++i)
+    fn(i, data_->row(rowOf(i)), data_->target(rowOf(i)));
 }
 
 void DatasetSource::visitParallel(const RowFn& fn) const {
-  support::parallelFor(0, data_->size(), 64, [&](std::size_t i) {
-    fn(i, data_->row(i), data_->target(i));
+  support::parallelFor(0, size(), 64, [&](std::size_t i) {
+    fn(i, data_->row(rowOf(i)), data_->target(rowOf(i)));
   });
 }
 

@@ -1,12 +1,13 @@
 // Streaming sample access for out-of-core training.
 //
 // A RowSource is a multi-pass, read-only view of (features, target) samples
-// in one fixed canonical order. The streaming fit paths (Lasso's Gram
-// accumulation, GBRT's feature-block binning) consume *only* this interface,
-// and the in-memory Dataset is adapted through DatasetSource — so the
-// in-memory and the sharded on-disk paths run the exact same arithmetic in
-// the exact same order, and the trained models are byte-identical by
-// construction (see DESIGN.md §19, "streaming determinism contract").
+// in one fixed canonical order. Every model fit (Lasso's Gram accumulation,
+// GBRT's feature-block binning, the MLP's one materializing read) consumes
+// *only* this interface, and the in-memory Dataset is adapted through
+// DatasetSource — so the in-memory and the sharded on-disk paths run the
+// exact same arithmetic in the exact same order, and the trained models are
+// byte-identical by construction (see DESIGN.md §19, "streaming determinism
+// contract").
 //
 // Contract a RowSource must honor:
 //   - size() and numFeatures() are stable across passes;
@@ -47,22 +48,33 @@ class RowSource {
   virtual void visitParallel(const RowFn& fn) const { forEach(fn); }
 };
 
-/// Adapts an in-memory Dataset (owning or subset view) to RowSource.
+/// Adapts an in-memory Dataset to RowSource: all of its rows, or only the
+/// rows named by an index list (renumbered 0..size()-1 in list order).
 class DatasetSource final : public RowSource {
  public:
   explicit DatasetSource(const Dataset& data) : data_(&data) {}
+  /// `index` must outlive the source.
+  DatasetSource(const Dataset& data, const std::vector<std::size_t>& index)
+      : data_(&data), index_(&index) {}
+  DatasetSource(const Dataset&, std::vector<std::size_t>&&) = delete;
 
-  std::size_t size() const override { return data_->size(); }
+  std::size_t size() const override {
+    return index_ != nullptr ? index_->size() : data_->size();
+  }
   std::size_t numFeatures() const override { return data_->numFeatures(); }
   void forEach(const RowFn& fn) const override;
   void visitParallel(const RowFn& fn) const override;
 
  private:
+  std::size_t rowOf(std::size_t i) const {
+    return index_ != nullptr ? (*index_)[i] : i;
+  }
+
   const Dataset* data_;
+  const std::vector<std::size_t>* index_ = nullptr;
 };
 
-/// Copies a source into an owning Dataset (the fallback for models without
-/// a native streaming fit, e.g. the MLP).
+/// Copies a source into an owning Dataset in one serial pass.
 Dataset materialize(const RowSource& source);
 
 }  // namespace hcp::ml

@@ -85,6 +85,9 @@ void StandardScaler::read(std::istream& is) {
   HCP_CHECK_MSG(mean_.size() == std_.size(),
                 "scaler has " << mean_.size() << " means but " << std_.size()
                               << " stds");
+  for (std::size_t j = 0; j < std_.size(); ++j)
+    HCP_CHECK_MSG(std_[j] > 0.0, "scaler std " << j << " is " << std_[j]
+                                               << ", must be positive");
 }
 
 void LassoRegression::write(std::ostream& os) const {

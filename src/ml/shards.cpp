@@ -201,30 +201,13 @@ ShardData ShardSet::load(std::size_t i) const {
   return data;
 }
 
-ShardRowSource::ShardRowSource(const ShardSet& set, Label label, KeepFn keep)
-    : set_(&set), label_(label), keep_(std::move(keep)) {
-  if (!keep_) {
-    size_ = set_->totalSamples();
-    return;
-  }
-  // Ids are a pure function of (key, ordinal): the filtered size comes from
-  // the headers alone, no payload I/O.
-  for (std::size_t s = 0; s < set_->numShards(); ++s) {
-    const ShardInfo& info = set_->info(s);
-    for (std::size_t o = 0; o < info.numSamples; ++o)
-      if (keep_(sampleId(info.key, o))) ++size_;
-  }
-}
-
 void ShardRowSource::forEach(const RowFn& fn) const {
   std::size_t index = 0;
   for (std::size_t s = 0; s < set_->numShards(); ++s) {
     if (set_->info(s).numSamples == 0) continue;
     const ShardData data = set_->load(s);
-    for (const ShardSample& sample : data.samples) {
-      if (keep_ && !keep_(sample.id)) continue;
+    for (const ShardSample& sample : data.samples)
       fn(index++, sample.features, targetOf(label_, sample));
-    }
   }
 }
 
@@ -233,15 +216,11 @@ void ShardRowSource::visitParallel(const RowFn& fn) const {
   for (std::size_t s = 0; s < set_->numShards(); ++s) {
     if (set_->info(s).numSamples == 0) continue;
     const ShardData data = set_->load(s);
-    std::vector<std::size_t> kept;
-    kept.reserve(data.samples.size());
-    for (std::size_t o = 0; o < data.samples.size(); ++o)
-      if (!keep_ || keep_(data.samples[o].id)) kept.push_back(o);
-    support::parallelFor(0, kept.size(), 64, [&](std::size_t j) {
-      const ShardSample& sample = data.samples[kept[j]];
+    support::parallelFor(0, data.samples.size(), 64, [&](std::size_t j) {
+      const ShardSample& sample = data.samples[j];
       fn(base + j, sample.features, targetOf(label_, sample));
     });
-    base += kept.size();
+    base += data.samples.size();
   }
 }
 

@@ -26,9 +26,8 @@
 // seed, feature count and a caller-provided salt (core::buildShard passes
 // the flow cache key plus the dataset-filter options, so the key pins every
 // input the samples depend on). Sample ids are derived from (key, ordinal),
-// which makes them stable across processes and machines — out-of-core
-// k-fold CV assigns fold membership by hashing these ids, never by
-// in-memory indices.
+// which makes them stable across processes and machines; a read checks every
+// id against its canonical value.
 //
 // Writes go through CheckedFileWriter under failpoint site "shard"
 // (shard.open / shard.write / shard.rename), atomic temp + rename; reads
@@ -135,20 +134,14 @@ class ShardSet {
 };
 
 /// Bounded-memory RowSource over a shard set: one shard resident at a
-/// time, visited in set order, serving `label` as the target. An optional
-/// `keep` predicate over the stable sample id filters the stream (k-fold
-/// CV membership) without changing the relative order of surviving
-/// samples; indices are re-numbered densely. The filtered size is computed
-/// from headers alone — ids are a pure function of (key, ordinal) — so
-/// construction reads no payloads.
+/// time, visited in set order, serving `label` as the target. The size
+/// comes from the scanned headers, so construction reads no payloads.
 class ShardRowSource final : public RowSource {
  public:
-  using KeepFn = std::function<bool(std::uint64_t)>;
+  explicit ShardRowSource(const ShardSet& set, Label label = Label::Average)
+      : set_(&set), label_(label) {}
 
-  explicit ShardRowSource(const ShardSet& set, Label label = Label::Average,
-                          KeepFn keep = {});
-
-  std::size_t size() const override { return size_; }
+  std::size_t size() const override { return set_->totalSamples(); }
   std::size_t numFeatures() const override { return set_->numFeatures(); }
   void forEach(const RowFn& fn) const override;
   void visitParallel(const RowFn& fn) const override;
@@ -156,8 +149,6 @@ class ShardRowSource final : public RowSource {
  private:
   const ShardSet* set_;
   Label label_;
-  KeepFn keep_;
-  std::size_t size_ = 0;
 };
 
 }  // namespace hcp::ml::shards

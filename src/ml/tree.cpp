@@ -39,47 +39,6 @@ std::vector<double> quantileEdges(std::vector<double>& column,
 
 }  // namespace
 
-void Binner::fit(const std::vector<std::vector<double>>& rows,
-                 std::uint32_t numBins) {
-  HCP_CHECK(!rows.empty());
-  fitImpl(rows.size(), rows.front().size(),
-          [&rows](std::size_t i, std::size_t f) { return rows[i][f]; },
-          numBins);
-}
-
-void Binner::fit(const Dataset& data, std::uint32_t numBins) {
-  HCP_CHECK(data.size() > 0);
-  fitImpl(data.size(), data.numFeatures(),
-          [&data](std::size_t i, std::size_t f) { return data.row(i)[f]; },
-          numBins);
-}
-
-void Binner::fitImpl(
-    std::size_t n, std::size_t d,
-    const std::function<double(std::size_t, std::size_t)>& at,
-    std::uint32_t numBins) {
-  HCP_CHECK(n > 0 && d > 0);
-  HCP_CHECK(numBins >= 2 && numBins <= 256);
-  numBins_ = numBins;
-  edges_.assign(d, {});
-
-  // Features are independent, so they fit in parallel; each chunk reuses
-  // one column buffer across its features (see quantileEdges for why the
-  // result is bit-identical at any thread count).
-  const std::size_t numChunks =
-      std::min(d, std::max<std::size_t>(1, 4 * support::threadLimit()));
-  const std::size_t grain = (d + numChunks - 1) / numChunks;
-  support::parallelFor(0, numChunks, 1, [&](std::size_t chunk) {
-    std::vector<double> column(n);
-    const std::size_t fLo = chunk * grain;
-    const std::size_t fHi = std::min(d, fLo + grain);
-    for (std::size_t f = fLo; f < fHi; ++f) {
-      for (std::size_t i = 0; i < n; ++i) column[i] = at(i, f);
-      edges_[f] = quantileEdges(column, numBins);
-    }
-  });
-}
-
 void Binner::fitStreamed(const RowSource& source, std::uint32_t numBins,
                          std::size_t columnBudgetBytes) {
   const std::size_t n = source.size();
@@ -294,16 +253,17 @@ double RegressionTree::predictBinned(
 
 void RegressionTree::fit(const Dataset& data, const TreeConfig& config,
                          std::uint32_t numBins) {
-  ownBinner_.fit(data, numBins);
+  Binner binner;
+  binner.fitStreamed(DatasetSource(data), numBins);
   std::vector<std::vector<std::uint8_t>> binned(data.size());
   support::parallelFor(0, data.size(), 64, [&](std::size_t i) {
-    binned[i] = ownBinner_.binRow(data.row(i));
+    binned[i] = binner.binRow(data.row(i));
   });
   std::vector<std::size_t> rows(data.size());
   for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i;
   std::vector<std::size_t> features(data.numFeatures());
   for (std::size_t f = 0; f < features.size(); ++f) features[f] = f;
-  fitBinned(binned, data.targets(), std::move(rows), features, ownBinner_,
+  fitBinned(binned, data.targets(), std::move(rows), features, binner,
             config);
 }
 

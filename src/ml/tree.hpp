@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "ml/model.hpp"
@@ -20,18 +19,11 @@ namespace hcp::ml {
 /// Quantile binning of a feature matrix.
 class Binner {
  public:
-  /// Fits up to `numBins` quantile bins per feature.
-  void fit(const std::vector<std::vector<double>>& rows,
-           std::uint32_t numBins);
-
-  /// Same, reading rows through the dataset (works on subset views too).
-  void fit(const Dataset& data, std::uint32_t numBins);
-
-  /// Streaming fit: gathers features in column blocks sized to
-  /// `columnBudgetBytes` of resident doubles, one sequential source pass
-  /// per block. Per-feature quantile edges depend only on each column's
-  /// value multiset, so the edges are bit-identical to fit() on the
-  /// materialized source at any block size and thread count.
+  /// Fits up to `numBins` quantile bins per feature, gathering features in
+  /// column blocks sized to `columnBudgetBytes` of resident doubles, one
+  /// sequential source pass per block. Per-feature quantile edges depend
+  /// only on each column's value multiset, so the edges are bit-identical
+  /// at any block size and thread count.
   void fitStreamed(const RowSource& source, std::uint32_t numBins,
                    std::size_t columnBudgetBytes = std::size_t{64} << 20);
 
@@ -49,11 +41,6 @@ class Binner {
   bool fitted() const { return !edges_.empty(); }
 
  private:
-  /// Shared fitting core over an (i, f) -> value accessor.
-  void fitImpl(std::size_t n, std::size_t d,
-               const std::function<double(std::size_t, std::size_t)>& at,
-               std::uint32_t numBins);
-
   std::uint32_t numBins_ = 0;
   /// edges_[f] holds ascending upper edges; bin i = values <= edges_[f][i].
   std::vector<std::vector<double>> edges_;
@@ -119,7 +106,6 @@ class RegressionTree {
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> splitCounts_;
   std::vector<double> splitGains_;
-  Binner ownBinner_;  ///< used only by the convenience fit()
 };
 
 }  // namespace hcp::ml

@@ -11,15 +11,20 @@ FoldScore evaluateFold(
     const std::function<std::unique_ptr<Regressor>()>& factory,
     const Dataset& data, const Split& fold) {
   support::telemetry::count(support::telemetry::Counter::CvFoldsEvaluated);
-  // Index views share the base feature matrix: k-fold CV no longer copies
-  // the rows k times. `data` and `fold` outlive this call by contract.
-  const Dataset train = data.subsetView(fold.train);
-  const Dataset test = data.subsetView(fold.test);
+  // Both sides read `data` through the fold's index lists: k-fold CV never
+  // copies the rows.
   auto model = factory();
-  model->fit(train);
-  const auto predicted = model->predictAll(test);
-  const FoldScore score{meanAbsoluteError(test.targets(), predicted),
-                        medianAbsoluteError(test.targets(), predicted)};
+  model->fitStreaming(DatasetSource(data, fold.train));
+  const DatasetSource test(data, fold.test);
+  std::vector<double> targets(test.size(), 0.0);
+  std::vector<double> predicted(test.size(), 0.0);
+  test.visitParallel(
+      [&](std::size_t i, const std::vector<double>& row, double y) {
+        targets[i] = y;
+        predicted[i] = model->predict(row);
+      });
+  const FoldScore score{meanAbsoluteError(targets, predicted),
+                        medianAbsoluteError(targets, predicted)};
   support::telemetry::observe(support::telemetry::Histogram::CvFoldMae,
                               score.mae);
   support::telemetry::observe(support::telemetry::Histogram::CvFoldMedae,
@@ -52,63 +57,6 @@ CvResult crossValidate(
       support::parallelMapIndex(folds.size(), [&](std::size_t f) {
         return detail::evaluateFold(factory, data, folds[f]);
       });
-  return detail::assemble(scores);
-}
-
-std::size_t foldOfSampleId(std::uint64_t id, std::uint64_t seed,
-                           std::size_t k) {
-  HCP_CHECK(k >= 2);
-  std::uint64_t x = id ^ (seed + 0x9e3779b97f4a7c15ULL);
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return static_cast<std::size_t>(x % k);
-}
-
-CvResult crossValidateStreaming(
-    const std::function<std::unique_ptr<Regressor>()>& factory,
-    const shards::ShardSet& set, shards::Label label, std::size_t k,
-    std::uint64_t seed) {
-  HCP_SPAN("cross_validate_streaming");
-  HCP_CHECK(k >= 2);
-  HCP_CHECK_MSG(set.totalSamples() >= k,
-                "cross-validation needs at least k=" << k << " samples, "
-                                                     << "shard set has "
-                                                     << set.totalSamples());
-  std::vector<detail::FoldScore> scores;
-  scores.reserve(k);
-  for (std::size_t f = 0; f < k; ++f) {
-    support::telemetry::count(support::telemetry::Counter::CvFoldsEvaluated);
-    const shards::ShardRowSource train(
-        set, label,
-        [=](std::uint64_t id) { return foldOfSampleId(id, seed, k) != f; });
-    const shards::ShardRowSource test(
-        set, label,
-        [=](std::uint64_t id) { return foldOfSampleId(id, seed, k) == f; });
-    HCP_CHECK_MSG(train.size() > 0 && test.size() > 0,
-                  "fold " << f << "/" << k << " has an empty "
-                          << (train.size() == 0 ? "train" : "test")
-                          << " partition (" << set.totalSamples()
-                          << " samples; use fewer folds)");
-    auto model = factory();
-    model->fitStreaming(train);
-    std::vector<double> targets(test.size(), 0.0);
-    std::vector<double> predicted(test.size(), 0.0);
-    test.visitParallel(
-        [&](std::size_t i, const std::vector<double>& row, double y) {
-          targets[i] = y;
-          predicted[i] = model->predict(row);
-        });
-    const detail::FoldScore score{meanAbsoluteError(targets, predicted),
-                                  medianAbsoluteError(targets, predicted)};
-    support::telemetry::observe(support::telemetry::Histogram::CvFoldMae,
-                                score.mae);
-    support::telemetry::observe(support::telemetry::Histogram::CvFoldMedae,
-                                score.medae);
-    scores.push_back(score);
-  }
   return detail::assemble(scores);
 }
 

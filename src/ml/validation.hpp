@@ -22,7 +22,6 @@
 
 #include "ml/metrics.hpp"
 #include "ml/model.hpp"
-#include "ml/shards.hpp"
 #include "support/parallel.hpp"
 #include "support/telemetry.hpp"
 
@@ -42,8 +41,8 @@ struct FoldScore {
   double medae = 0.0;
 };
 
-/// Trains a factory-built model on the fold's train view and scores it on
-/// the test view. Views avoid copying the feature matrix per fold.
+/// Trains a factory-built model on the fold's train rows and scores it on
+/// its test rows, both read in place through index-list DatasetSources.
 FoldScore evaluateFold(
     const std::function<std::unique_ptr<Regressor>()>& factory,
     const Dataset& data, const Split& fold);
@@ -57,24 +56,6 @@ CvResult assemble(const std::vector<FoldScore>& scores);
 CvResult crossValidate(
     const std::function<std::unique_ptr<Regressor>()>& factory,
     const Dataset& data, std::size_t k, std::uint64_t seed);
-
-/// Fold of a stable shard sample id (splitmix64 finalizer over id ^ seed):
-/// a pure function of the id, so fold membership survives re-sharding,
-/// process restarts and corpus growth — unlike the in-memory index
-/// permutation of kFoldSplits.
-std::size_t foldOfSampleId(std::uint64_t id, std::uint64_t seed,
-                           std::size_t k);
-
-/// Out-of-core k-fold CV over a shard set: fold membership comes from
-/// foldOfSampleId, each fold trains via the model's streaming fit on a
-/// filtered ShardRowSource, and only the test slice's predictions are ever
-/// resident. Folds run serially on purpose — peak memory stays that of a
-/// single streaming fit. Fails loudly when a fold's train or test
-/// partition is empty. Deterministic at any thread count.
-CvResult crossValidateStreaming(
-    const std::function<std::unique_ptr<Regressor>()>& factory,
-    const shards::ShardSet& set, shards::Label label, std::size_t k,
-    std::uint64_t seed);
 
 template <typename Config>
 struct GridSearchResult {

@@ -237,10 +237,10 @@ TEST(Mlp, ModelBytesIndependentOfThreadsAndTelemetry) {
 // --- trees -------------------------------------------------------------
 
 TEST(Binner, QuantileBinsMonotone) {
-  std::vector<std::vector<double>> rows;
-  for (int i = 0; i < 100; ++i) rows.push_back({static_cast<double>(i)});
+  Dataset rows(1);
+  for (int i = 0; i < 100; ++i) rows.add({static_cast<double>(i)}, 0.0);
   Binner binner;
-  binner.fit(rows, 16);
+  binner.fitStreamed(DatasetSource(rows), 16);
   std::uint8_t prev = 0;
   for (int i = 0; i < 100; ++i) {
     const auto bin = binner.binOf(0, static_cast<double>(i));
@@ -251,9 +251,10 @@ TEST(Binner, QuantileBinsMonotone) {
 }
 
 TEST(Binner, ConstantFeatureSingleBin) {
-  std::vector<std::vector<double>> rows(50, std::vector<double>{3.0});
+  Dataset rows(1);
+  for (int i = 0; i < 50; ++i) rows.add({3.0}, 0.0);
   Binner binner;
-  binner.fit(rows, 16);
+  binner.fitStreamed(DatasetSource(rows), 16);
   EXPECT_LE(binner.binOf(0, 3.0), 1);
 }
 

@@ -220,6 +220,49 @@ TEST(Serialize, FileRejectsConcatenatedModels) {
   std::remove(path.c_str());
 }
 
+/// `text` with the scaler's first std (the value after the std vector's
+/// count) replaced by `value`.
+std::string withFirstScalerStd(const std::string& text,
+                               const std::string& value) {
+  const std::size_t meanLine = text.find("scaler\n") + 7;
+  const std::size_t stdLine = text.find('\n', meanLine) + 1;
+  const std::size_t first = text.find(' ', stdLine) + 1;
+  const std::size_t end = text.find_first_of(" \n", first);
+  return text.substr(0, first) + value + text.substr(end);
+}
+
+// A fit never writes a std below 1e-12 (a constant column gets 1); a zero
+// or negative one would make every prediction NaN or infinite.
+TEST(Serialize, FileRejectsNonPositiveScalerStd) {
+  const Dataset data = makeData(60, 12);
+  LassoRegression lasso;
+  lasso.fit(data);
+  MlpRegressor mlp({.hiddenLayers = {4}, .maxEpochs = 3});
+  mlp.fit(data);
+  const std::string path = "serialize_test_scaler_std.tmp";
+  for (const Regressor* model : {static_cast<const Regressor*>(&lasso),
+                                 static_cast<const Regressor*>(&mlp)}) {
+    std::stringstream buffer;
+    saveModel(*model, buffer);
+    // The edit itself keeps the file well-formed.
+    writeFile(path, withFirstScalerStd(buffer.str(), "2"));
+    EXPECT_NO_THROW(loadModelFromFile(path)) << model->name();
+    for (const char* value : {"0", "-1"}) {
+      writeFile(path, withFirstScalerStd(buffer.str(), value));
+      try {
+        loadModelFromFile(path);
+        ADD_FAILURE() << model->name() << " with scaler std " << value
+                      << " must not load";
+      } catch (const hcp::Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("scaler std"), std::string::npos) << what;
+        EXPECT_NE(what.find(path), std::string::npos) << what;
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
 // --- save failure paths -----------------------------------------------------
 //
 // A model save is a user-requested artifact: unlike the flow cache it must

@@ -2,13 +2,15 @@
 // streamed-vs-in-memory byte-identity contract (DESIGN.md §19).
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <sstream>
 
 #include "ml/gbrt.hpp"
 #include "ml/linear.hpp"
+#include "ml/mlp.hpp"
 #include "ml/serialize.hpp"
 #include "ml/shards.hpp"
-#include "ml/validation.hpp"
 #include "support/envelope.hpp"
 #include "support/error.hpp"
 #include "support/failpoint.hpp"
@@ -384,36 +386,6 @@ TEST(ShardRowSource, LabelSelectsTarget) {
   }
 }
 
-TEST(ShardRowSource, KeepFilterRenumbersDensely) {
-  test::TempDir dir(test::uniqueStem("rowsource", "filter"));
-  writeCorpus(dir.dir(), 2, 10, 3);
-  const ShardSet set(dir.dir());
-  const auto keep = [](std::uint64_t id) { return id % 2 == 0; };
-
-  // Expected: kept samples in canonical order, densely renumbered.
-  std::vector<double> expected;
-  for (std::size_t s = 0; s < set.numShards(); ++s)
-    for (const ShardSample& row : set.load(s).samples)
-      if (keep(row.id)) expected.push_back(row.average);
-
-  const ShardRowSource source(set, Label::Average, keep);
-  EXPECT_EQ(source.size(), expected.size());
-  ASSERT_GT(source.size(), 0u);
-  ASSERT_LT(source.size(), set.totalSamples());
-
-  std::vector<double> seen(source.size(), -1.0);
-  source.forEach([&](std::size_t i, const std::vector<double>&, double y) {
-    seen[i] = y;
-  });
-  EXPECT_EQ(seen, expected);
-
-  support::ScopedThreadLimit limit(4);
-  std::vector<double> par(source.size(), -1.0);
-  source.visitParallel([&](std::size_t i, const std::vector<double>&,
-                           double y) { par[i] = y; });
-  EXPECT_EQ(par, expected);
-}
-
 TEST(ShardRowSource, MaterializeEqualsLoads) {
   test::TempDir dir(test::uniqueStem("rowsource", "materialize"));
   writeCorpus(dir.dir(), 2, 9, 4);
@@ -432,89 +404,47 @@ TEST(ShardRowSource, MaterializeEqualsLoads) {
 
 // --- streamed-vs-in-memory byte identity --------------------------------
 
-TEST(StreamingFit, LassoByteIdenticalAcrossThreadCounts) {
-  test::TempDir dir(test::uniqueStem("streamfit", "lasso"));
-  writeCorpus(dir.dir(), 3, 40, 6);
+/// Fits `make()` models from `numShards` synthetic shards of `n` samples:
+/// the streamed fit at 1, 2 and 4 threads must write the bytes of fit() on
+/// the materialized source.
+void expectStreamedFitMatchesInMemory(
+    const std::string& stem, std::size_t numShards, std::size_t n,
+    Label label, const std::function<std::unique_ptr<Regressor>()>& make) {
+  test::TempDir dir(test::uniqueStem("streamfit", stem));
+  writeCorpus(dir.dir(), numShards, n, 6);
   const ShardSet set(dir.dir());
-  const ShardRowSource source(set, Label::Vertical);
+  const ShardRowSource source(set, label);
 
-  LassoRegression reference;
-  reference.fit(materialize(source));
-  const std::string want = modelBytes(reference);
+  const auto reference = make();
+  reference->fit(materialize(source));
+  const std::string want = modelBytes(*reference);
 
   for (const std::size_t threads : {1u, 2u, 4u}) {
     support::ScopedThreadLimit limit(threads);
-    LassoRegression streamed;
-    streamed.fitStreaming(source);
-    EXPECT_EQ(modelBytes(streamed), want) << threads << " threads";
+    const auto streamed = make();
+    streamed->fitStreaming(source);
+    EXPECT_EQ(modelBytes(*streamed), want) << threads << " threads";
   }
+}
+
+TEST(StreamingFit, LassoByteIdenticalAcrossThreadCounts) {
+  expectStreamedFitMatchesInMemory("lasso", 3, 40, Label::Vertical, [] {
+    return std::make_unique<LassoRegression>();
+  });
 }
 
 TEST(StreamingFit, GbrtByteIdenticalAcrossThreadCounts) {
-  test::TempDir dir(test::uniqueStem("streamfit", "gbrt"));
-  writeCorpus(dir.dir(), 2, 50, 6);
-  const ShardSet set(dir.dir());
-  const ShardRowSource source(set, Label::Average);
-
-  const GbrtConfig config{.numEstimators = 12, .maxDepth = 3};
-  Gbrt reference(config);
-  reference.fit(materialize(source));
-  const std::string want = modelBytes(reference);
-
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    support::ScopedThreadLimit limit(threads);
-    Gbrt streamed(config);
-    streamed.fitStreaming(source);
-    EXPECT_EQ(modelBytes(streamed), want) << threads << " threads";
-  }
+  expectStreamedFitMatchesInMemory("gbrt", 2, 50, Label::Average, [] {
+    return std::make_unique<Gbrt>(
+        GbrtConfig{.numEstimators = 12, .maxDepth = 3});
+  });
 }
 
-// --- out-of-core cross-validation ---------------------------------------
-
-TEST(FoldOfSampleId, StableBalancedAndSeedSensitive) {
-  EXPECT_EQ(foldOfSampleId(12345, 7, 5), foldOfSampleId(12345, 7, 5));
-  std::vector<std::size_t> counts(5, 0);
-  for (std::uint64_t id = 0; id < 5000; ++id)
-    ++counts[foldOfSampleId(id, 7, 5)];
-  for (const std::size_t c : counts) {
-    EXPECT_GT(c, 800u);  // ~1000 expected per fold
-    EXPECT_LT(c, 1200u);
-  }
-  std::size_t moved = 0;
-  for (std::uint64_t id = 0; id < 1000; ++id)
-    if (foldOfSampleId(id, 7, 5) != foldOfSampleId(id, 8, 5)) ++moved;
-  EXPECT_GT(moved, 500u);  // a new seed reshuffles membership
-}
-
-TEST(CrossValidateStreaming, DeterministicAcrossThreadCounts) {
-  test::TempDir dir(test::uniqueStem("cvstream", "det"));
-  writeCorpus(dir.dir(), 2, 60, 5);
-  const ShardSet set(dir.dir());
-  const auto factory = [] { return std::make_unique<LassoRegression>(); };
-
-  const CvResult base =
-      crossValidateStreaming(factory, set, Label::Vertical, 4, 42);
-  EXPECT_EQ(base.foldMae.size(), 4u);
-  EXPECT_GT(base.meanMae, 0.0);
-  EXPECT_LT(base.meanMae, 0.5);  // easy synthetic linear problem
-
-  for (const std::size_t threads : {1u, 4u}) {
-    support::ScopedThreadLimit limit(threads);
-    const CvResult again =
-        crossValidateStreaming(factory, set, Label::Vertical, 4, 42);
-    EXPECT_EQ(again.foldMae, base.foldMae) << threads << " threads";
-    EXPECT_EQ(again.foldMedae, base.foldMedae) << threads << " threads";
-  }
-}
-
-TEST(CrossValidateStreaming, RejectsTinySets) {
-  test::TempDir dir(test::uniqueStem("cvstream", "tiny"));
-  writeCorpus(dir.dir(), 1, 2, 3);
-  const ShardSet set(dir.dir());
-  EXPECT_THROW(crossValidateStreaming(
-                   [] { return std::make_unique<LassoRegression>(); }, set,
-                   Label::Average, 5, 42),
-               Error);
+TEST(StreamingFit, MlpByteIdenticalAcrossThreadCounts) {
+  expectStreamedFitMatchesInMemory("mlp", 2, 45, Label::Horizontal, [] {
+    return std::make_unique<MlpRegressor>(MlpConfig{
+        .hiddenLayers = {8, 4}, .batchSize = 16, .maxEpochs = 12});
+  });
 }
 
 }  // namespace

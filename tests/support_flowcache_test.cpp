@@ -726,7 +726,9 @@ TEST(FlowCachePlumbing, StoreIsAtomicReplace) {
 TEST(FlowCachePlumbing, EntryBytesMatchGolden) {
   // Pins the on-disk envelope byte for byte: magic, schema, key, payload
   // size and FNV-1a digest on one header line, then the raw payload.
-  TempCacheDir scratch("flowcache_golden/");
+  // Its own directory: CacheBehaviorTest.GoldenDigitSpam* may run in a
+  // parallel process, and this test's cleanup would delete its cache.
+  TempCacheDir scratch("flowcache_entry_golden/");
   const fc::FlowCache cache(scratch.dir());
   ASSERT_TRUE(cache.store("00deadbeef00cafe", "golden payload\nline two\n"));
   EXPECT_EQ(slurpFile(cache.entryPath("00deadbeef00cafe")),

@@ -157,19 +157,20 @@ TEST(Determinism, SubsetViewMatchesDeepSubset) {
   const auto data = syntheticData(120, 17);
   std::vector<std::size_t> idx{5, 3, 77, 0, 119, 42, 42, 8};
   const auto deep = data.subset(idx);
-  const auto view = data.subsetView(idx);
+  const ml::DatasetSource view(data, idx);
   ASSERT_EQ(view.size(), deep.size());
   EXPECT_EQ(view.numFeatures(), deep.numFeatures());
-  EXPECT_TRUE(view.isView());
-  EXPECT_FALSE(deep.isView());
-  for (std::size_t i = 0; i < deep.size(); ++i) {
-    EXPECT_EQ(view.row(i), deep.row(i));
-    EXPECT_EQ(view.target(i), deep.target(i));
-  }
+  std::size_t visited = 0;
+  view.forEach([&](std::size_t i, const std::vector<double>& row, double y) {
+    EXPECT_EQ(i, visited++);
+    EXPECT_EQ(row, deep.row(i));
+    EXPECT_EQ(y, deep.target(i));
+  });
+  EXPECT_EQ(visited, deep.size());
   // Models must train identically on either representation.
   ml::LassoRegression a, b;
   a.fit(deep);
-  b.fit(view);
+  b.fitStreaming(view);
   const auto pa = a.predictAll(data);
   const auto pb = b.predictAll(data);
   for (std::size_t i = 0; i < pa.size(); ++i) EXPECT_EQ(pa[i], pb[i]);

@@ -10,6 +10,18 @@ namespace hcp::ml {
 
 void Gbrt::fitStreaming(const RowSource& source) {
   HCP_SPAN("gbrt_fit");
+  // Out-of-range fractions would slice rows/features past their ends.
+  HCP_CHECK_MSG(config_.subsample > 0.0 && config_.subsample <= 1.0,
+                "GbrtConfig.subsample must be in (0, 1], got "
+                    << config_.subsample);
+  HCP_CHECK_MSG(
+      config_.featureFraction > 0.0 && config_.featureFraction <= 1.0,
+      "GbrtConfig.featureFraction must be in (0, 1], got "
+          << config_.featureFraction);
+  HCP_CHECK_MSG(std::isfinite(config_.learningRate) &&
+                    config_.learningRate > 0.0,
+                "GbrtConfig.learningRate must be finite and > 0, got "
+                    << config_.learningRate);
   const std::size_t n = source.size();
   HCP_CHECK(n >= 4);
   numFeatures_ = source.numFeatures();
@@ -17,17 +29,24 @@ void Gbrt::fitStreaming(const RowSource& source) {
 
   // Quantile edges stream through feature blocks; the raw doubles of a
   // block are dropped before the next is gathered. One more parallel pass
-  // bins every row (a pure per-row transform — safe to run concurrently)
-  // and captures the targets, after which the source is not touched again:
-  // the boosting stages below run on the resident uint8 matrix.
+  // bins every row into a column-major n x d byte matrix and captures the
+  // targets, after which the source is not touched again: the boosting
+  // stages below run on the resident matrix.
   binner_.fitStreamed(source, config_.numBins);
-  std::vector<std::vector<std::uint8_t>> binned(n);
-  std::vector<double> targets(n, 0.0);
-  source.visitParallel(
-      [&](std::size_t i, const std::vector<double>& row, double y) {
-        binned[i] = binner_.binRow(row);
-        targets[i] = y;
-      });
+  std::vector<double> targets;
+  const std::vector<std::uint8_t> binned =
+      binner_.binColumns(source, targets);
+
+  // A feature whose column holds one bin has an empty side at every cut:
+  // the leaf minimum rejects the cut, or with no minimum its gain is
+  // 0/0 = NaN, which never wins. Stages leave such features out of the
+  // split search; the trees are the ones a full search would grow.
+  std::vector<bool> canSplit(numFeatures_);
+  for (std::size_t f = 0; f < numFeatures_; ++f) {
+    const auto col = binned.begin() + static_cast<std::ptrdiff_t>(f * n);
+    canSplit[f] = std::any_of(col, col + static_cast<std::ptrdiff_t>(n),
+                              [&](std::uint8_t b) { return b != *col; });
+  }
 
   // F0 = mean target.
   baseline_ = 0.0;
@@ -64,17 +83,19 @@ void Gbrt::fitStreaming(const RowSource& source) {
                                       static_cast<std::ptrdiff_t>(
                                           rowsPerStage));
     rng.shuffle(allFeatures);
-    std::vector<std::size_t> features(
-        allFeatures.begin(),
-        allFeatures.begin() + static_cast<std::ptrdiff_t>(featsPerStage));
+    std::vector<std::size_t> features;
+    features.reserve(featsPerStage);
+    for (std::size_t p = 0; p < featsPerStage; ++p)
+      if (canSplit[allFeatures[p]]) features.push_back(allFeatures[p]);
 
     RegressionTree tree;
-    tree.fitBinned(binned, residual, std::move(rows), features, binner_,
+    tree.fitBinned(binned, n, residual, std::move(rows), features, binner_,
                    treeConfig);
 
     // Per-row updates are independent and write disjoint slots.
     support::parallelFor(0, n, 256, [&](std::size_t i) {
-      prediction[i] += config_.learningRate * tree.predictBinned(binned[i]);
+      prediction[i] +=
+          config_.learningRate * tree.predictBinned(binned, n, i);
     });
     trees_.push_back(std::move(tree));
   }

@@ -74,11 +74,20 @@ std::uint8_t Binner::binOf(std::size_t feature, double value) const {
   return static_cast<std::uint8_t>(it - edges.begin());
 }
 
-std::vector<std::uint8_t> Binner::binRow(
-    const std::vector<double>& row) const {
-  std::vector<std::uint8_t> out(row.size());
-  for (std::size_t f = 0; f < row.size(); ++f) out[f] = binOf(f, row[f]);
-  return out;
+std::vector<std::uint8_t> Binner::binColumns(
+    const RowSource& source, std::vector<double>& targets) const {
+  const std::size_t n = source.size();
+  const std::size_t d = edges_.size();
+  HCP_CHECK(source.numFeatures() == d);
+  std::vector<std::uint8_t> binned(n * d);
+  targets.assign(n, 0.0);
+  source.visitParallel(
+      [&](std::size_t i, const std::vector<double>& row, double y) {
+        for (std::size_t f = 0; f < d; ++f)
+          binned[f * n + i] = binOf(f, row[f]);
+        targets[i] = y;
+      });
+  return binned;
 }
 
 double Binner::threshold(std::size_t feature, std::uint8_t bin) const {
@@ -87,24 +96,28 @@ double Binner::threshold(std::size_t feature, std::uint8_t bin) const {
   return edges[std::min<std::size_t>(bin, edges.size() - 1)];
 }
 
-void RegressionTree::fitBinned(
-    const std::vector<std::vector<std::uint8_t>>& binned,
-    const std::vector<double>& targets, std::vector<std::size_t> rows,
-    const std::vector<std::size_t>& features, const Binner& binner,
-    const TreeConfig& config) {
-  HCP_CHECK(!rows.empty() && !features.empty());
+void RegressionTree::fitBinned(const std::vector<std::uint8_t>& binned,
+                               std::size_t stride,
+                               const std::vector<double>& targets,
+                               std::vector<std::size_t> rows,
+                               const std::vector<std::size_t>& features,
+                               const Binner& binner,
+                               const TreeConfig& config) {
+  HCP_CHECK(!rows.empty() && stride > 0 && binned.size() % stride == 0);
   nodes_.clear();
-  const std::size_t d = binned.front().size();
+  const std::size_t d = binned.size() / stride;
   splitCounts_.assign(d, 0);
   splitGains_.assign(d, 0.0);
-  build(binned, targets, rows, features, binner, config, 0);
+  build(binned, stride, targets, rows, features, binner, config, 0);
 }
 
-std::int32_t RegressionTree::build(
-    const std::vector<std::vector<std::uint8_t>>& binned,
-    const std::vector<double>& targets, std::vector<std::size_t>& rows,
-    const std::vector<std::size_t>& features, const Binner& binner,
-    const TreeConfig& config, int depth) {
+std::int32_t RegressionTree::build(const std::vector<std::uint8_t>& binned,
+                                   std::size_t stride,
+                                   const std::vector<double>& targets,
+                                   std::vector<std::size_t>& rows,
+                                   const std::vector<std::size_t>& features,
+                                   const Binner& binner,
+                                   const TreeConfig& config, int depth) {
   const auto nodeIdx = static_cast<std::int32_t>(nodes_.size());
   nodes_.emplace_back();
 
@@ -134,38 +147,63 @@ std::int32_t RegressionTree::build(
     std::uint32_t bin = 0;
   };
 
-  // Scans feature positions [p0, p1), reusing one histogram pair.
+  // The node's targets in `rows` order, gathered once for every feature.
+  std::vector<double> nodeTargets(rows.size());
+  for (std::size_t k = 0; k < rows.size(); ++k)
+    nodeTargets[k] = targets[rows[k]];
+
+  // Scans feature positions [p0, p1) four at a time. One pass over the
+  // node's rows fills the four features' histograms together, so their adds
+  // form four independent chains: rows that fall in the same bin of one
+  // feature (most rows, for a skewed feature) no longer wait on each
+  // other's add. Every (feature, bin) sum still adds the same rows in
+  // `rows` order, and candidates are still visited in (position, bin)
+  // order, so the winner is the one a feature-at-a-time sweep would keep.
+  constexpr std::size_t kWidth = 4;
   const auto scanRange = [&](std::size_t p0, std::size_t p1) {
     SplitCandidate best;
-    std::vector<double> histSum(numBins);
-    std::vector<std::uint32_t> histCount(numBins);
-    for (std::size_t p = p0; p < p1; ++p) {
-      const std::size_t f = features[p];
+    std::vector<double> histSum(kWidth * numBins);
+    std::vector<std::uint32_t> histCount(kWidth * numBins);
+    for (std::size_t p = p0; p < p1; p += kWidth) {
+      const std::size_t width = std::min(kWidth, p1 - p);
+      // A short last block refills its final feature into the spare slots;
+      // those copies are never scanned.
+      const std::uint8_t* col[kWidth];
+      for (std::size_t j = 0; j < kWidth; ++j)
+        col[j] = binned.data() + features[p + std::min(j, width - 1)] * stride;
       std::fill(histSum.begin(), histSum.end(), 0.0);
       std::fill(histCount.begin(), histCount.end(), 0u);
-      for (std::size_t i : rows) {
-        const std::uint8_t b = binned[i][f];
-        histSum[b] += targets[i];
-        ++histCount[b];
+      for (std::size_t k = 0; k < rows.size(); ++k) {
+        const std::size_t i = rows[k];
+        const double y = nodeTargets[k];
+        for (std::size_t j = 0; j < kWidth; ++j) {
+          const std::size_t slot = j * numBins + col[j][i];
+          histSum[slot] += y;
+          ++histCount[slot];
+        }
       }
-      double leftSum = 0.0;
-      std::uint32_t leftCount = 0;
-      for (std::uint32_t b = 0; b + 1 < numBins; ++b) {
-        leftSum += histSum[b];
-        leftCount += histCount[b];
-        const std::uint32_t rightCount =
-            static_cast<std::uint32_t>(rows.size()) - leftCount;
-        if (leftCount < config.minSamplesLeaf ||
-            rightCount < config.minSamplesLeaf)
-          continue;
-        const double rightSum = sum - leftSum;
-        const double gain = leftSum * leftSum / leftCount +
-                            rightSum * rightSum / rightCount - parentScore;
-        if (gain > best.gain) {
-          best.gain = gain;
-          best.position = p;
-          best.feature = f;
-          best.bin = b;
+      for (std::size_t j = 0; j < width; ++j) {
+        const double* hs = histSum.data() + j * numBins;
+        const std::uint32_t* hc = histCount.data() + j * numBins;
+        double leftSum = 0.0;
+        std::uint32_t leftCount = 0;
+        for (std::uint32_t b = 0; b + 1 < numBins; ++b) {
+          leftSum += hs[b];
+          leftCount += hc[b];
+          const std::uint32_t rightCount =
+              static_cast<std::uint32_t>(rows.size()) - leftCount;
+          if (leftCount < config.minSamplesLeaf ||
+              rightCount < config.minSamplesLeaf)
+            continue;
+          const double rightSum = sum - leftSum;
+          const double gain = leftSum * leftSum / leftCount +
+                              rightSum * rightSum / rightCount - parentScore;
+          if (gain > best.gain) {
+            best.gain = gain;
+            best.position = p + j;
+            best.feature = features[p + j];
+            best.bin = b;
+          }
         }
       }
     }
@@ -202,12 +240,12 @@ std::int32_t RegressionTree::build(
   const double bestGain = best.gain;
 
   // Partition rows in place.
+  const std::uint8_t* splitColumn = binned.data() + bestFeature * stride;
   std::vector<std::size_t> leftRows, rightRows;
   leftRows.reserve(rows.size());
   rightRows.reserve(rows.size());
-  for (std::size_t i : rows) {
-    (binned[i][bestFeature] <= bestBin ? leftRows : rightRows).push_back(i);
-  }
+  for (std::size_t i : rows)
+    (splitColumn[i] <= bestBin ? leftRows : rightRows).push_back(i);
   rows.clear();
   rows.shrink_to_fit();
 
@@ -219,10 +257,10 @@ std::int32_t RegressionTree::build(
   nodes_[nodeIdx].threshold = binner.threshold(bestFeature,
                                                static_cast<std::uint8_t>(
                                                    bestBin));
-  const std::int32_t left =
-      build(binned, targets, leftRows, features, binner, config, depth + 1);
-  const std::int32_t right =
-      build(binned, targets, rightRows, features, binner, config, depth + 1);
+  const std::int32_t left = build(binned, stride, targets, leftRows,
+                                  features, binner, config, depth + 1);
+  const std::int32_t right = build(binned, stride, targets, rightRows,
+                                   features, binner, config, depth + 1);
   nodes_[nodeIdx].left = left;
   nodes_[nodeIdx].right = right;
   return nodeIdx;
@@ -239,31 +277,32 @@ double RegressionTree::predict(const std::vector<double>& row) const {
   return nodes_[cur].value;
 }
 
-double RegressionTree::predictBinned(
-    const std::vector<std::uint8_t>& row) const {
+double RegressionTree::predictBinned(const std::vector<std::uint8_t>& binned,
+                                     std::size_t stride,
+                                     std::size_t row) const {
   HCP_CHECK(!nodes_.empty());
   std::int32_t cur = 0;
   while (nodes_[cur].feature >= 0) {
     const Node& n = nodes_[cur];
-    cur = row[static_cast<std::size_t>(n.feature)] <= n.bin ? n.left
-                                                            : n.right;
+    cur = binned[static_cast<std::size_t>(n.feature) * stride + row] <= n.bin
+              ? n.left
+              : n.right;
   }
   return nodes_[cur].value;
 }
 
 void RegressionTree::fit(const Dataset& data, const TreeConfig& config,
                          std::uint32_t numBins) {
+  const DatasetSource source(data);
   Binner binner;
-  binner.fitStreamed(DatasetSource(data), numBins);
-  std::vector<std::vector<std::uint8_t>> binned(data.size());
-  support::parallelFor(0, data.size(), 64, [&](std::size_t i) {
-    binned[i] = binner.binRow(data.row(i));
-  });
+  binner.fitStreamed(source, numBins);
+  std::vector<double> targets;
+  const std::vector<std::uint8_t> binned = binner.binColumns(source, targets);
   std::vector<std::size_t> rows(data.size());
   for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i;
   std::vector<std::size_t> features(data.numFeatures());
   for (std::size_t f = 0; f < features.size(); ++f) features[f] = f;
-  fitBinned(binned, data.targets(), std::move(rows), features, binner,
+  fitBinned(binned, data.size(), targets, std::move(rows), features, binner,
             config);
 }
 

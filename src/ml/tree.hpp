@@ -1,8 +1,9 @@
 // CART regression trees over histogram-binned features.
 //
-// Features are quantile-binned once (Binner); each tree node then finds the
-// best split with one O(rows x features) histogram sweep instead of sorting,
-// which keeps a 300-tree GBRT over 300+ features fast. Split quality is
+// Features are quantile-binned once (Binner) into a flat column-major byte
+// matrix; each tree node then finds the best split with one
+// O(rows x features) histogram sweep instead of sorting, which keeps a
+// 300-tree GBRT over 300+ features fast. Split quality is
 // variance reduction (sum^2/count gain). Trees record per-feature split
 // counts and gains — the paper's Table V importance measure is "the number
 // of times a feature is used as a split point" across the ensemble.
@@ -30,8 +31,12 @@ class Binner {
   /// Bin index of a raw value for a feature.
   std::uint8_t binOf(std::size_t feature, double value) const;
 
-  /// Bins a full row.
-  std::vector<std::uint8_t> binRow(const std::vector<double>& row) const;
+  /// Bins every row of `source` into a column-major n x d matrix (the bin
+  /// of row i, feature f sits at [f * n + i]) and captures the targets in
+  /// `targets`. Rows are binned concurrently; each writes only its own
+  /// bytes, so the matrix is identical at any thread count.
+  std::vector<std::uint8_t> binColumns(const RowSource& source,
+                                       std::vector<double>& targets) const;
 
   /// Raw-value threshold "value <= threshold goes left" for a split at the
   /// upper edge of `bin`.
@@ -53,16 +58,20 @@ struct TreeConfig {
 
 class RegressionTree {
  public:
-  /// Fits on pre-binned rows (binned[i][f]) restricted to `rows`, searching
-  /// splits only among `features`. Targets are the boosting residuals.
-  void fitBinned(const std::vector<std::vector<std::uint8_t>>& binned,
+  /// Fits on a column-major binned matrix (row i, feature f at
+  /// binned[f * stride + i]) restricted to `rows`, searching splits only
+  /// among `features`. Targets are the boosting residuals. An empty
+  /// `features` list grows a single leaf.
+  void fitBinned(const std::vector<std::uint8_t>& binned, std::size_t stride,
                  const std::vector<double>& targets,
                  std::vector<std::size_t> rows,
                  const std::vector<std::size_t>& features,
                  const Binner& binner, const TreeConfig& config);
 
   double predict(const std::vector<double>& row) const;
-  double predictBinned(const std::vector<std::uint8_t>& row) const;
+  /// Prediction for row `row` of a matrix laid out as fitBinned's.
+  double predictBinned(const std::vector<std::uint8_t>& binned,
+                       std::size_t stride, std::size_t row) const;
 
   /// Convenience: bins internally and fits on a whole dataset.
   void fit(const Dataset& data, const TreeConfig& config = {},
@@ -96,8 +105,8 @@ class RegressionTree {
   const std::vector<Node>& nodes() const { return nodes_; }
 
  private:
-  std::int32_t build(const std::vector<std::vector<std::uint8_t>>& binned,
-                     const std::vector<double>& targets,
+  std::int32_t build(const std::vector<std::uint8_t>& binned,
+                     std::size_t stride, const std::vector<double>& targets,
                      std::vector<std::size_t>& rows,
                      const std::vector<std::size_t>& features,
                      const Binner& binner, const TreeConfig& config,

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "ml/gbrt.hpp"
@@ -128,11 +129,11 @@ TEST(Mlp, DeterministicForSeed) {
   EXPECT_EQ(modelBytes(a), modelBytes(b));
 }
 
-/// Fits `config` on `data` and returns the error message; fails the test
+/// Fits `model` on `data` and returns the error message; fails the test
 /// when the fit does not throw.
-std::string fitError(const MlpConfig& config, const Dataset& data) {
+std::string fitError(Regressor&& model, const Dataset& data) {
   try {
-    MlpRegressor(config).fit(data);
+    model.fit(data);
   } catch (const hcp::Error& e) {
     return e.what();
   }
@@ -142,14 +143,15 @@ std::string fitError(const MlpConfig& config, const Dataset& data) {
 
 TEST(Mlp, RejectsZeroBatchSize) {
   const auto data = linearData(50, 3, 0.1, 8);
-  EXPECT_NE(fitError({.batchSize = 0}, data).find("batchSize"),
-            std::string::npos);
+  EXPECT_NE(
+      fitError(MlpRegressor({.batchSize = 0}), data).find("batchSize"),
+      std::string::npos);
 }
 
 TEST(Mlp, RejectsValidationFractionLeavingNoTrainingRows) {
   const auto data = linearData(50, 3, 0.1, 8);
   for (double f : {1.0, 1.5})
-    EXPECT_NE(fitError({.validationFraction = f}, data)
+    EXPECT_NE(fitError(MlpRegressor({.validationFraction = f}), data)
                   .find("validationFraction"),
               std::string::npos)
         << f;
@@ -157,7 +159,8 @@ TEST(Mlp, RejectsValidationFractionLeavingNoTrainingRows) {
 
 TEST(Mlp, RejectsZeroWidthHiddenLayer) {
   const auto data = linearData(50, 3, 0.1, 8);
-  EXPECT_NE(fitError({.hiddenLayers = {8, 0}}, data).find("hiddenLayers"),
+  EXPECT_NE(fitError(MlpRegressor({.hiddenLayers = {8, 0}}), data)
+                .find("hiddenLayers"),
             std::string::npos);
 }
 
@@ -386,6 +389,114 @@ TEST(GbrtTest, PredictEqualsTreeByTreeSumOnSingleLeafAndUnbalancedTrees) {
   ASSERT_TRUE(sawLeaf);
   ASSERT_TRUE(sawUnbalanced);
   test::expectPredictEqualsTreeSum(model, firstRows(data, 20));
+}
+
+/// Four uniform features, a constant column (x4, one bin: it can never
+/// split) and a rarely-varying one (x5 is 1 in about 3% of rows, else 0).
+Dataset gbrtGoldenData(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Dataset data(6);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<double> x(6, 3.0);
+    for (std::size_t j = 0; j < 4; ++j) x[j] = rng.uniformReal(-2, 2);
+    x[5] = rng.uniformReal(0, 1) < 0.03 ? 1.0 : 0.0;
+    data.add(x, 4 * x[0] * x[1] + x[2] * x[2] - x[3] + 5 * x[5] +
+                    rng.normal(0, 0.3));
+  }
+  return data;
+}
+
+/// Feature-subsampled configs: one with no leaf minimum, one sampling a
+/// single feature per stage (a stage that draws the constant column grows a
+/// single leaf). Without a leaf minimum a cut that leaves one side empty
+/// can score +inf when `sum - leftSum` rounds to a nonzero value, and the
+/// empty side becomes a NaN leaf; the golden pins that known defect as is.
+const GbrtConfig kGbrtGoldenConfigs[] = {
+    {.numEstimators = 40, .minSamplesLeaf = 0, .featureFraction = 0.5,
+     .seed = 4},
+    {.numEstimators = 40, .featureFraction = 0.2, .seed = 6},
+};
+
+// The fitted models' bytes and their predictions on unseen rows (as exact
+// hexfloats) must match results/golden_gbrt_model.txt byte for byte; any
+// change to a split choice or a leaf sum shows up here. The file is
+// regenerated when missing or when HCP_REGEN_GOLDEN is set.
+TEST(Gbrt, GoldenModelBytes) {
+  const Dataset data = gbrtGoldenData(300, 31);
+  const Dataset unseen = gbrtGoldenData(8, 32);
+  std::string bytes;
+  for (const GbrtConfig& config : kGbrtGoldenConfigs) {
+    Gbrt model(config);
+    model.fit(data);
+    bytes += modelBytes(model);
+    for (std::size_t i = 0; i < unseen.size(); ++i) {
+      char buf[64];
+      std::snprintf(buf, sizeof buf, "predict %a\n",
+                    model.predict(unseen.row(i)));
+      bytes += buf;
+    }
+  }
+
+  const std::string goldenPath =
+      std::string(HCP_RESULTS_DIR) + "/golden_gbrt_model.txt";
+  if (std::getenv("HCP_REGEN_GOLDEN") != nullptr ||
+      !std::ifstream(goldenPath).good()) {
+    std::ofstream(goldenPath, std::ios::binary) << bytes;
+    GTEST_SKIP() << "golden model regenerated at " << goldenPath;
+  }
+  EXPECT_EQ(bytes, test::slurpFile(goldenPath))
+      << "fitted GBRT drifted from " << goldenPath
+      << " (regenerate deliberately with HCP_REGEN_GOLDEN=1)";
+}
+
+// The split search shards features across the pool; the model bytes must
+// not depend on the thread count or on telemetry (which makes a one-thread
+// region run through the pool's task path).
+TEST(Gbrt, ModelBytesIndependentOfThreadsAndTelemetry) {
+  const Dataset data = gbrtGoldenData(300, 31);
+  const bool wasEnabled = support::telemetry::enabled();
+  for (const GbrtConfig& config : kGbrtGoldenConfigs) {
+    std::string reference;
+    for (bool telemetryOn : {false, true}) {
+      support::telemetry::setEnabled(telemetryOn);
+      for (std::size_t threads : {1, 2, 4}) {
+        support::ScopedThreadLimit limit(threads);
+        Gbrt model(config);
+        model.fit(data);
+        const std::string bytes = modelBytes(model);
+        if (reference.empty()) reference = bytes;
+        EXPECT_EQ(bytes, reference)
+            << threads << " threads, telemetry " << telemetryOn;
+      }
+    }
+  }
+  support::telemetry::setEnabled(wasEnabled);
+}
+
+TEST(Gbrt, RejectsSubsampleOutsideUnitInterval) {
+  const auto data = linearData(200, 3, 0.1, 9);
+  for (double f : {0.0, -0.5, 1.5, std::nan("")})
+    EXPECT_NE(fitError(Gbrt({.subsample = f}), data).find("subsample"),
+              std::string::npos)
+        << f;
+}
+
+TEST(Gbrt, RejectsFeatureFractionOutsideUnitInterval) {
+  const auto data = linearData(200, 3, 0.1, 9);
+  for (double f : {0.0, -1.0, 2.0, std::nan("")})
+    EXPECT_NE(fitError(Gbrt({.featureFraction = f}), data)
+                  .find("featureFraction"),
+              std::string::npos)
+        << f;
+}
+
+TEST(Gbrt, RejectsNonPositiveOrNonFiniteLearningRate) {
+  const auto data = linearData(200, 3, 0.1, 9);
+  for (double r : {0.0, -0.1, std::numeric_limits<double>::infinity(),
+                   std::nan("")})
+    EXPECT_NE(fitError(Gbrt({.learningRate = r}), data).find("learningRate"),
+              std::string::npos)
+        << r;
 }
 
 /// Property sweep: all three models produce finite predictions across

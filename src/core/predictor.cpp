@@ -1,6 +1,7 @@
 #include "core/predictor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <typeinfo>
 
@@ -36,34 +37,72 @@ std::unique_ptr<ml::Regressor> CongestionPredictor::makeModel() const {
   return nullptr;
 }
 
-void CongestionPredictor::fitModels(const ml::RowSource& vertical,
-                                    const ml::RowSource& horizontal,
-                                    const ml::RowSource& average) {
+void CongestionPredictor::fitModels(const ml::RowSource& source) {
   vertical_ = makeModel();
   horizontal_ = makeModel();
   average_ = makeModel();
-  vertical_->fitStreaming(vertical);
-  horizontal_->fitStreaming(horizontal);
-  average_->fitStreaming(average);
+  const std::array<ml::Regressor*, 3> models = {
+      vertical_.get(), horizontal_.get(), average_.get()};
+  ml::fitEachTarget(source, models);
   trained_ = true;
 }
+
+namespace {
+
+/// A LabeledDataset as one source: the rows of `vertical`, with the
+/// vertical, horizontal and average labels as its three targets.
+class LabeledSource final : public ml::RowSource {
+ public:
+  explicit LabeledSource(const LabeledDataset& data) : data_(data) {
+    HCP_CHECK_MSG(data.horizontal.size() == data.vertical.size() &&
+                      data.average.size() == data.vertical.size(),
+                  "labeled dataset has " << data.vertical.size() << "/"
+                                         << data.horizontal.size() << "/"
+                                         << data.average.size()
+                                         << " rows per label");
+  }
+
+  std::size_t size() const override { return data_.vertical.size(); }
+  std::size_t numFeatures() const override {
+    return data_.vertical.numFeatures();
+  }
+  std::size_t numTargets() const override { return 3; }
+  void forEach(const RowFn& fn) const override {
+    for (std::size_t i = 0; i < size(); ++i)
+      fn(i, data_.vertical.row(i), data_.vertical.target(i));
+  }
+  void forEachTargets(const TargetsFn& fn) const override {
+    for (std::size_t i = 0; i < size(); ++i)
+      fn(i, data_.vertical.row(i), targetsOf(i));
+  }
+  void visitParallelTargets(const TargetsFn& fn) const override {
+    support::parallelFor(0, size(), 64, [&](std::size_t i) {
+      fn(i, data_.vertical.row(i), targetsOf(i));
+    });
+  }
+
+ private:
+  std::array<double, 3> targetsOf(std::size_t i) const {
+    return {data_.vertical.target(i), data_.horizontal.target(i),
+            data_.average.target(i)};
+  }
+
+  const LabeledDataset& data_;
+};
+
+}  // namespace
 
 void CongestionPredictor::train(const LabeledDataset& data) {
   HCP_SPAN("train");
   HCP_CHECK_MSG(data.vertical.size() > 0, "empty training dataset");
-  fitModels(ml::DatasetSource(data.vertical),
-            ml::DatasetSource(data.horizontal),
-            ml::DatasetSource(data.average));
+  fitModels(LabeledSource(data));
 }
 
 void CongestionPredictor::trainFromShards(const ml::shards::ShardSet& set) {
   HCP_SPAN("train_from_shards");
   HCP_CHECK_MSG(set.totalSamples() > 0,
                 "empty shard set: no training samples under " << set.dir());
-  using ml::shards::Label;
-  fitModels(ml::shards::ShardRowSource(set, Label::Vertical),
-            ml::shards::ShardRowSource(set, Label::Horizontal),
-            ml::shards::ShardRowSource(set, Label::Average));
+  fitModels(ml::shards::ShardRowSource(set, ml::shards::kAllLabels));
 }
 
 OpPrediction CongestionPredictor::predictOp(

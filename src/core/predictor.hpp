@@ -50,13 +50,15 @@ class CongestionPredictor {
  public:
   explicit CongestionPredictor(PredictorOptions options = {});
 
-  /// Trains the three regressors (V, H, avg) on the dataset.
+  /// Trains the three regressors (V, H, avg) on the dataset, in one fit
+  /// over its rows (taken from `vertical`; buildDataset writes the same row
+  /// to all three datasets) with the three labels as targets.
   void train(const LabeledDataset& data);
 
-  /// Trains the three regressors out-of-core from a shard set, each over a
-  /// ShardRowSource with one shard resident at a time — byte-identical
-  /// models to train() on the materialized dataset. Fails loudly on an
-  /// empty set.
+  /// Trains the three regressors out-of-core from a shard set, in one fit
+  /// over a three-label ShardRowSource with one shard resident at a time —
+  /// byte-identical models to train() on the materialized dataset. Fails
+  /// loudly on an empty set.
   void trainFromShards(const ml::shards::ShardSet& set);
 
   bool trained() const { return trained_; }
@@ -90,10 +92,9 @@ class CongestionPredictor {
 
  private:
   std::unique_ptr<ml::Regressor> makeModel() const;
-  /// Builds and fits the vertical, horizontal and average models in turn.
-  void fitModels(const ml::RowSource& vertical,
-                 const ml::RowSource& horizontal,
-                 const ml::RowSource& average);
+  /// Builds the vertical, horizontal and average models and fits them
+  /// together to the source's three targets, in that order.
+  void fitModels(const ml::RowSource& source);
 
   PredictorOptions options_;
   std::unique_ptr<ml::Regressor> vertical_, horizontal_, average_;

@@ -44,17 +44,24 @@ std::vector<Split> kFoldSplits(std::size_t n, std::size_t k,
   return folds;
 }
 
-void StandardScaler::fit(const RowSource& source) {
+void StandardScaler::fit(const RowSource& source,
+                         std::vector<double>* targetMeans) {
   const std::size_t n = source.size();
   HCP_CHECK(n > 0);
   const std::size_t d = source.numFeatures();
   mean_.assign(d, 0.0);
   std_.assign(d, 0.0);
-  source.forEach(
-      [&](std::size_t, const std::vector<double>& r, double) {
-        for (std::size_t j = 0; j < d; ++j) mean_[j] += r[j];
-      });
+  std::vector<double> ySum(source.numTargets(), 0.0);
+  source.forEachTargets([&](std::size_t, const std::vector<double>& r,
+                            std::span<const double> y) {
+    for (std::size_t j = 0; j < d; ++j) mean_[j] += r[j];
+    for (std::size_t t = 0; t < y.size(); ++t) ySum[t] += y[t];
+  });
   for (double& m : mean_) m /= static_cast<double>(n);
+  if (targetMeans != nullptr) {
+    for (double& m : ySum) m /= static_cast<double>(n);
+    *targetMeans = std::move(ySum);
+  }
   source.forEach(
       [&](std::size_t, const std::vector<double>& r, double) {
         for (std::size_t j = 0; j < d; ++j)

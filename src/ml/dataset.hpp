@@ -82,8 +82,10 @@ std::vector<Split> kFoldSplits(std::size_t n, std::size_t k,
 class StandardScaler {
  public:
   /// Two ordered passes over the source: column means, then standard
-  /// deviations (a constant column gets std 1).
-  void fit(const RowSource& source);
+  /// deviations (a constant column gets std 1). With `targetMeans`, the
+  /// first pass also takes the mean of each of the source's targets.
+  void fit(const RowSource& source,
+           std::vector<double>* targetMeans = nullptr);
   std::vector<double> transform(const std::vector<double>& row) const;
   bool fitted() const { return !mean_.empty(); }
   const std::vector<double>& mean() const { return mean_; }

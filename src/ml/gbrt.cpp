@@ -8,45 +8,62 @@
 
 namespace hcp::ml {
 
-void Gbrt::fitStreaming(const RowSource& source) {
+void Gbrt::fitTargets(const RowSource& source,
+                      std::span<Regressor* const> models) {
   HCP_SPAN("gbrt_fit");
-  // Out-of-range fractions would slice rows/features past their ends.
-  HCP_CHECK_MSG(config_.subsample > 0.0 && config_.subsample <= 1.0,
-                "GbrtConfig.subsample must be in (0, 1], got "
-                    << config_.subsample);
-  HCP_CHECK_MSG(
-      config_.featureFraction > 0.0 && config_.featureFraction <= 1.0,
-      "GbrtConfig.featureFraction must be in (0, 1], got "
-          << config_.featureFraction);
-  HCP_CHECK_MSG(std::isfinite(config_.learningRate) &&
-                    config_.learningRate > 0.0,
-                "GbrtConfig.learningRate must be finite and > 0, got "
-                    << config_.learningRate);
+  for (std::size_t t = 0; t < models.size(); ++t) {
+    const GbrtConfig& c = targetModel<Gbrt>(models, t).config_;
+    // Out-of-range fractions would slice rows/features past their ends.
+    HCP_CHECK_MSG(c.subsample > 0.0 && c.subsample <= 1.0,
+                  "GbrtConfig.subsample must be in (0, 1], got "
+                      << c.subsample);
+    HCP_CHECK_MSG(c.featureFraction > 0.0 && c.featureFraction <= 1.0,
+                  "GbrtConfig.featureFraction must be in (0, 1], got "
+                      << c.featureFraction);
+    HCP_CHECK_MSG(std::isfinite(c.learningRate) && c.learningRate > 0.0,
+                  "GbrtConfig.learningRate must be finite and > 0, got "
+                      << c.learningRate);
+    // The bin matrix is shared, so every model must bin alike.
+    HCP_CHECK_MSG(c.numBins == config_.numBins,
+                  "GBRT models fitted together must share numBins, got "
+                      << c.numBins << " and " << config_.numBins);
+  }
   const std::size_t n = source.size();
   HCP_CHECK(n >= 4);
-  numFeatures_ = source.numFeatures();
-  Rng rng(config_.seed);
+  const std::size_t d = source.numFeatures();
 
-  // Quantile edges stream through feature blocks; the raw doubles of a
-  // block are dropped before the next is gathered. One more parallel pass
-  // bins every row into a column-major n x d byte matrix and captures the
-  // targets, after which the source is not touched again: the boosting
-  // stages below run on the resident matrix.
-  binner_.fitStreamed(source, config_.numBins);
-  std::vector<double> targets;
-  const std::vector<std::uint8_t> binned =
-      binner_.binColumns(source, targets);
+  // Quantile edges stream through feature blocks, and each block is binned
+  // into a column-major n x d byte matrix while its raw doubles are
+  // resident; the first block's pass captures the targets. After that the
+  // source is not touched again: every target's boosting stages run on the
+  // one resident matrix.
+  Binner binner;
+  const BinnedRows binned = binner.fitStreamed(source, config_.numBins);
 
   // A feature whose column holds one bin has an empty side at every cut:
   // the leaf minimum rejects the cut, or with no minimum its gain is
   // 0/0 = NaN, which never wins. Stages leave such features out of the
   // split search; the trees are the ones a full search would grow.
-  std::vector<bool> canSplit(numFeatures_);
-  for (std::size_t f = 0; f < numFeatures_; ++f) {
-    const auto col = binned.begin() + static_cast<std::ptrdiff_t>(f * n);
+  std::vector<bool> canSplit(d);
+  for (std::size_t f = 0; f < d; ++f) {
+    const auto col = binned.bins.begin() + static_cast<std::ptrdiff_t>(f * n);
     canSplit[f] = std::any_of(col, col + static_cast<std::ptrdiff_t>(n),
                               [&](std::uint8_t b) { return b != *col; });
   }
+
+  for (std::size_t t = 0; t < models.size(); ++t) {
+    Gbrt& m = targetModel<Gbrt>(models, t);
+    m.binner_ = binner;
+    m.numFeatures_ = d;
+    m.boost(binned.bins, binned.targets[t], canSplit);
+  }
+}
+
+void Gbrt::boost(const std::vector<std::uint8_t>& binned,
+                 const std::vector<double>& targets,
+                 const std::vector<bool>& canSplit) {
+  const std::size_t n = targets.size();
+  Rng rng(config_.seed);
 
   // F0 = mean target.
   baseline_ = 0.0;

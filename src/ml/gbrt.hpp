@@ -27,11 +27,6 @@ class Gbrt : public Regressor {
  public:
   explicit Gbrt(GbrtConfig config = {}) : config_(config) {}
 
-  /// Quantile edges come from the feature-block streamed binner and the raw
-  /// feature matrix is never materialized — only the uint8 binned matrix
-  /// (one byte per value) plus the targets stay in memory for the boosting
-  /// stages.
-  void fitStreaming(const RowSource& source) override;
   double predict(const std::vector<double>& row) const override;
   std::string name() const override { return "GBRT"; }
 
@@ -53,7 +48,21 @@ class Gbrt : public Regressor {
   void write(std::ostream& os) const;
   void read(std::istream& is);
 
+ protected:
+  /// Quantile edges come from the feature-block streamed binner and the raw
+  /// feature matrix is never materialized — only the uint8 binned matrix
+  /// (one byte per value) plus the targets stay in memory for the boosting
+  /// stages. One pass per feature block serves every target; the binner and
+  /// the matrix are shared, so the models must agree on numBins.
+  void fitTargets(const RowSource& source,
+                  std::span<Regressor* const> models) override;
+
  private:
+  /// The boosting stages on one target, seeded from this model's config.
+  void boost(const std::vector<std::uint8_t>& binned,
+             const std::vector<double>& targets,
+             const std::vector<bool>& canSplit);
+
   /// Rebuilds the flat forest from trees_ (after every fit and read).
   void flatten();
 

@@ -25,42 +25,58 @@ double softThreshold(double x, double lambda) {
 // which equals the former x_j . (residual + x_j w_j) exactly (same
 // optimization problem, same update rule, same tolerance loop), while the
 // working set is O(d^2) regardless of the sample count.
-void LassoRegression::fitStreaming(const RowSource& source) {
+//
+// Only c, the target mean and the descent depend on the label, so one fit
+// serves every target of the source in three passes: feature and target
+// means, feature stds, then G and one c per target.
+void LassoRegression::fitTargets(const RowSource& source,
+                                 std::span<Regressor* const> models) {
   const std::size_t n = source.size();
   HCP_CHECK(n > 0);
   const std::size_t d = source.numFeatures();
   HCP_CHECK(d > 0);
+  const std::size_t k = models.size();
 
-  scaler_.fit(source);
+  // Centre the targets; each intercept absorbs its target's mean.
+  StandardScaler scaler;
+  std::vector<double> yMean;
+  scaler.fit(source, &yMean);
 
-  // Centre the target; intercept absorbs its mean.
-  double yMean = 0.0;
-  source.forEach([&](std::size_t, const std::vector<double>&, double y) {
-    yMean += y;
-  });
-  yMean /= static_cast<double>(n);
-
-  // One serial pass accumulates Gram + correlation in sample order: the
+  // One serial pass accumulates Gram + correlations in sample order: the
   // summation order is fixed by the source's canonical order, never by
-  // thread count, so the result (and everything downstream) is
-  // bit-reproducible.
+  // thread count or by how many targets share the pass, so the result (and
+  // everything downstream) is bit-reproducible.
   std::vector<double> gram(d * d, 0.0);
-  std::vector<double> corr(d, 0.0);
-  source.forEach([&](std::size_t, const std::vector<double>& row, double y) {
-    const auto z = scaler_.transform(row);
-    const double yc = y - yMean;
+  std::vector<double> corr(k * d, 0.0);
+  source.forEachTargets([&](std::size_t, const std::vector<double>& row,
+                            std::span<const double> y) {
+    const auto z = scaler.transform(row);
+    for (std::size_t t = 0; t < k; ++t) {
+      const double yc = y[t] - yMean[t];
+      double* ct = corr.data() + t * d;
+      for (std::size_t j = 0; j < d; ++j) ct[j] += z[j] * yc;
+    }
     for (std::size_t j = 0; j < d; ++j) {
-      corr[j] += z[j] * yc;
       double* gj = gram.data() + j * d;
       const double zj = z[j];
-      for (std::size_t k = j; k < d; ++k) gj[k] += zj * z[k];
+      for (std::size_t c = j; c < d; ++c) gj[c] += zj * z[c];
     }
   });
   for (std::size_t j = 0; j < d; ++j)  // mirror the upper triangle
-    for (std::size_t k = j + 1; k < d; ++k) gram[k * d + j] = gram[j * d + k];
+    for (std::size_t c = j + 1; c < d; ++c) gram[c * d + j] = gram[j * d + c];
 
+  for (std::size_t t = 0; t < k; ++t) {
+    LassoRegression& m = targetModel<LassoRegression>(models, t);
+    m.scaler_ = scaler;
+    m.intercept_ = yMean[t];
+    m.descend(gram, corr.data() + t * d, n);
+  }
+}
+
+void LassoRegression::descend(const std::vector<double>& gram,
+                              const double* corr, std::size_t n) {
+  const std::size_t d = scaler_.mean().size();
   weights_.assign(d, 0.0);
-  intercept_ = yMean;
 
   // Columns are standardized, so sum(x_j^2) == n for every j.
   const double colNorm = static_cast<double>(n);
@@ -73,7 +89,7 @@ void LassoRegression::fitStreaming(const RowSource& source) {
       const double old = weights_[j];
       const double* gj = gram.data() + j * d;
       double dot = 0.0;
-      for (std::size_t k = 0; k < d; ++k) dot += gj[k] * weights_[k];
+      for (std::size_t c = 0; c < d; ++c) dot += gj[c] * weights_[c];
       const double rho = corr[j] - dot + gj[j] * old;
       const double next = softThreshold(rho, lambda) / colNorm;
       if (next != old) {

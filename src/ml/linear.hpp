@@ -20,10 +20,6 @@ class LassoRegression : public Regressor {
  public:
   explicit LassoRegression(LassoConfig config = {}) : config_(config) {}
 
-  /// Bounded-memory fit: one scaler pass pair plus one Gram-accumulation
-  /// pass over the source; working state is O(d^2), independent of the
-  /// sample count.
-  void fitStreaming(const RowSource& source) override;
   double predict(const std::vector<double>& row) const override;
   std::string name() const override { return "Linear"; }
 
@@ -36,7 +32,20 @@ class LassoRegression : public Regressor {
   void write(std::ostream& os) const;
   void read(std::istream& is);
 
+ protected:
+  /// Bounded-memory fit: three serial passes over the source (feature and
+  /// target means, feature stds, Gram matrix and per-target correlations);
+  /// working state is O(d^2 + k*d), independent of the sample count. The
+  /// scaler and Gram matrix are shared by every target's model.
+  void fitTargets(const RowSource& source,
+                  std::span<Regressor* const> models) override;
+
  private:
+  /// Coordinate descent on the shared Gram matrix against this target's
+  /// correlations (`d` values); the scaler and intercept are already set.
+  void descend(const std::vector<double>& gram, const double* corr,
+               std::size_t n);
+
   LassoConfig config_;
   StandardScaler scaler_;
   std::vector<double> weights_;

@@ -69,41 +69,61 @@ constexpr std::size_t kSampleGrain = 8;
 constexpr std::size_t kRowGrain = 8;
 }  // namespace
 
-void MlpRegressor::fitStreaming(const RowSource& source) {
-  HCP_CHECK_MSG(config_.batchSize > 0, "MlpConfig.batchSize must be > 0");
-  HCP_CHECK_MSG(config_.validationFraction >= 0.0 &&
-                    config_.validationFraction < 1.0,
-                "MlpConfig.validationFraction must be in [0, 1), got "
-                    << config_.validationFraction);
-  for (std::size_t h : config_.hiddenLayers)
-    HCP_CHECK_MSG(h > 0, "MlpConfig.hiddenLayers widths must be > 0");
+void MlpRegressor::fitTargets(const RowSource& source,
+                              std::span<Regressor* const> models) {
+  for (std::size_t t = 0; t < models.size(); ++t) {
+    const MlpConfig& c = targetModel<MlpRegressor>(models, t).config_;
+    HCP_CHECK_MSG(c.batchSize > 0, "MlpConfig.batchSize must be > 0");
+    HCP_CHECK_MSG(c.validationFraction >= 0.0 && c.validationFraction < 1.0,
+                  "MlpConfig.validationFraction must be in [0, 1), got "
+                      << c.validationFraction);
+    for (std::size_t h : c.hiddenLayers)
+      HCP_CHECK_MSG(h > 0, "MlpConfig.hiddenLayers widths must be > 0");
+  }
   HCP_CHECK(source.size() >= 8);
   const std::size_t n = source.size();
   const std::size_t d = source.numFeatures();
 
-  // Standardized rows, row-major n x d. The raw copy lives only until they
-  // are formed.
+  // Standardized rows, row-major n x d, shared by every target's training
+  // run. The raw copy lives only until they are formed.
   std::vector<double> X(n * d);
-  std::vector<double> Y(n);
+  std::vector<std::vector<double>> targets(models.size(),
+                                           std::vector<double>(n));
+  StandardScaler scaler;
   {
-    const Dataset data = materialize(source);
-    scaler_.fit(DatasetSource(data));
-
-    // Standardize the target too; gradients stay well-scaled.
-    double m = 0.0;
-    for (double y : data.targets()) m += y;
-    m /= static_cast<double>(n);
-    double v = 0.0;
-    for (double y : data.targets()) v += (y - m) * (y - m);
-    yMean_ = m;
-    yStd_ = std::max(1e-9, std::sqrt(v / static_cast<double>(n)));
-
+    Dataset data(d);  // features only; the targets go to `targets`
+    source.forEachTargets([&](std::size_t i, const std::vector<double>& row,
+                              std::span<const double> y) {
+      data.add(row, 0.0);
+      for (std::size_t t = 0; t < y.size(); ++t) targets[t][i] = y[t];
+    });
+    scaler.fit(DatasetSource(data));
     for (std::size_t i = 0; i < n; ++i) {
-      const std::vector<double> z = scaler_.transform(data.row(i));
+      const std::vector<double> z = scaler.transform(data.row(i));
       std::copy(z.begin(), z.end(), X.data() + i * d);
-      Y[i] = (data.target(i) - yMean_) / yStd_;
     }
   }
+  for (std::size_t t = 0; t < models.size(); ++t) {
+    MlpRegressor& m = targetModel<MlpRegressor>(models, t);
+    m.scaler_ = scaler;
+    m.train(X, d, targets[t]);
+  }
+}
+
+void MlpRegressor::train(const std::vector<double>& X, std::size_t d,
+                         const std::vector<double>& targets) {
+  const std::size_t n = targets.size();
+
+  // Standardize the target too; gradients stay well-scaled.
+  double m = 0.0;
+  for (double y : targets) m += y;
+  m /= static_cast<double>(n);
+  double v = 0.0;
+  for (double y : targets) v += (y - m) * (y - m);
+  yMean_ = m;
+  yStd_ = std::max(1e-9, std::sqrt(v / static_cast<double>(n)));
+  std::vector<double> Y(n);
+  for (std::size_t i = 0; i < n; ++i) Y[i] = (targets[i] - yMean_) / yStd_;
 
   // Layer shapes: d -> hidden... -> 1, He initialization.
   Rng rng(config_.seed);

@@ -28,9 +28,6 @@ class MlpRegressor : public Regressor {
  public:
   explicit MlpRegressor(MlpConfig config = {}) : config_(std::move(config)) {}
 
-  /// Reads the source once into memory, standardizes that copy, then
-  /// trains on the contiguous standardized rows.
-  void fitStreaming(const RowSource& source) override;
   double predict(const std::vector<double>& row) const override;
   std::string name() const override { return "ANN"; }
 
@@ -41,7 +38,18 @@ class MlpRegressor : public Regressor {
   void write(std::ostream& os) const;
   void read(std::istream& is);
 
+ protected:
+  /// Reads the source once into memory, standardizes that copy, then
+  /// trains each target's model on the shared contiguous standardized rows.
+  void fitTargets(const RowSource& source,
+                  std::span<Regressor* const> models) override;
+
  private:
+  /// Standardizes `targets`, then runs mini-batch Adam with early stopping
+  /// on the standardized row-major n x d rows `X`.
+  void train(const std::vector<double>& X, std::size_t d,
+             const std::vector<double>& targets);
+
   struct Layer {
     std::size_t in = 0, out = 0;
     std::vector<double> w;  ///< row-major [out][in]

@@ -91,12 +91,16 @@ void StandardScaler::read(std::istream& is) {
 }
 
 void LassoRegression::write(std::ostream& os) const {
-  os << "config " << config_.alpha << ' ' << config_.maxIterations << ' '
-     << config_.tolerance << '\n';
+  os << "config ";
+  txt::writeNum(os, config_.alpha);
+  os << ' ' << config_.maxIterations << ' ';
+  txt::writeNum(os, config_.tolerance);
+  os << '\n';
   scaler_.write(os);
   txt::writeVec(os, weights_);
+  os << "\nintercept ";
+  txt::writeNum(os, intercept_);
   os << '\n';
-  os << "intercept " << intercept_ << '\n';
 }
 
 void LassoRegression::read(std::istream& is) {
@@ -122,7 +126,11 @@ void MlpRegressor::write(std::ostream& os) const {
     os << '\n';
   }
   scaler_.write(os);
-  os << "target " << yMean_ << ' ' << yStd_ << '\n';
+  os << "target ";
+  txt::writeNum(os, yMean_);
+  os << ' ';
+  txt::writeNum(os, yStd_);
+  os << '\n';
 }
 
 void MlpRegressor::read(std::istream& is) {
@@ -155,8 +163,11 @@ void MlpRegressor::read(std::istream& is) {
 void RegressionTree::write(std::ostream& os) const {
   os << "tree " << nodes_.size() << '\n';
   for (const Node& n : nodes_) {
-    os << n.feature << ' ' << static_cast<int>(n.bin) << ' ' << n.threshold
-       << ' ' << n.left << ' ' << n.right << ' ' << n.value << '\n';
+    os << n.feature << ' ' << static_cast<int>(n.bin) << ' ';
+    txt::writeNum(os, n.threshold);
+    os << ' ' << n.left << ' ' << n.right << ' ';
+    txt::writeNum(os, n.value);
+    os << '\n';
   }
   os << "splits ";
   txt::writeVec(os, splitCounts_);
@@ -200,12 +211,17 @@ void RegressionTree::read(std::istream& is, std::size_t numFeatures) {
 }
 
 void Gbrt::write(std::ostream& os) const {
-  os << "config " << config_.numEstimators << ' ' << config_.learningRate
-     << ' ' << config_.maxDepth << ' ' << config_.minSamplesLeaf << ' '
-     << config_.subsample << ' ' << config_.featureFraction << ' '
-     << config_.numBins << ' ' << config_.seed << '\n';
-  os << "state " << baseline_ << ' ' << numFeatures_ << ' ' << trainLoss_
-     << '\n';
+  os << "config " << config_.numEstimators << ' ';
+  txt::writeNum(os, config_.learningRate);
+  os << ' ' << config_.maxDepth << ' ' << config_.minSamplesLeaf << ' ';
+  txt::writeNum(os, config_.subsample);
+  os << ' ';
+  txt::writeNum(os, config_.featureFraction);
+  os << ' ' << config_.numBins << ' ' << config_.seed << "\nstate ";
+  txt::writeNum(os, baseline_);
+  os << ' ' << numFeatures_ << ' ';
+  txt::writeNum(os, trainLoss_);
+  os << '\n';
   os << "forest " << trees_.size() << '\n';
   for (const RegressionTree& t : trees_) t.write(os);
 }

@@ -96,9 +96,15 @@ std::string writeShard(const std::string& dir, const std::string& key,
   payload << "\nseed " << meta.seed << "\n";
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const ShardSample& s = samples[i];
-    payload << "sample " << sampleId(key, i) << ' ' << s.vertical << ' '
-            << s.horizontal << ' ' << s.average;
-    for (const double f : s.features) payload << ' ' << f;
+    payload << "sample " << sampleId(key, i);
+    for (const double label : {s.vertical, s.horizontal, s.average}) {
+      payload.put(' ');
+      txt::writeNum(payload, label);
+    }
+    for (const double f : s.features) {
+      payload.put(' ');
+      txt::writeNum(payload, f);
+    }
     payload << "\n";
   }
 
@@ -201,27 +207,50 @@ ShardData ShardSet::load(std::size_t i) const {
   return data;
 }
 
-void ShardRowSource::forEach(const RowFn& fn) const {
-  std::size_t index = 0;
-  for (std::size_t s = 0; s < set_->numShards(); ++s) {
-    if (set_->info(s).numSamples == 0) continue;
-    const ShardData data = set_->load(s);
-    for (const ShardSample& sample : data.samples)
-      fn(index++, sample.features, targetOf(label_, sample));
-  }
+ShardRowSource::ShardRowSource(const ShardSet& set,
+                               std::span<const Label> labels)
+    : set_(&set), numLabels_(labels.size()) {
+  HCP_CHECK_MSG(!labels.empty() && labels.size() <= labels_.size(),
+                "a shard source serves 1 to " << labels_.size()
+                                              << " labels, got "
+                                              << labels.size());
+  std::copy(labels.begin(), labels.end(), labels_.begin());
 }
 
-void ShardRowSource::visitParallel(const RowFn& fn) const {
+template <typename Fn>
+void ShardRowSource::visit(bool parallel, const Fn& fn) const {
   std::size_t base = 0;
   for (std::size_t s = 0; s < set_->numShards(); ++s) {
     if (set_->info(s).numSamples == 0) continue;
     const ShardData data = set_->load(s);
-    support::parallelFor(0, data.samples.size(), 64, [&](std::size_t j) {
-      const ShardSample& sample = data.samples[j];
-      fn(base + j, sample.features, targetOf(label_, sample));
-    });
+    const auto body = [&](std::size_t j) { fn(base + j, data.samples[j]); };
+    if (parallel)
+      support::parallelFor(0, data.samples.size(), 64, body);
+    else
+      for (std::size_t j = 0; j < data.samples.size(); ++j) body(j);
     base += data.samples.size();
   }
+}
+
+void ShardRowSource::forEach(const RowFn& fn) const {
+  visit(false, [&](std::size_t i, const ShardSample& s) {
+    fn(i, s.features, targetOf(labels_[0], s));
+  });
+}
+
+void ShardRowSource::visitParallel(const RowFn& fn) const {
+  visit(true, [&](std::size_t i, const ShardSample& s) {
+    fn(i, s.features, targetOf(labels_[0], s));
+  });
+}
+
+void ShardRowSource::visitTargets(bool parallel, const TargetsFn& fn) const {
+  visit(parallel, [&](std::size_t i, const ShardSample& s) {
+    std::array<double, kAllLabels.size()> y{};
+    for (std::size_t t = 0; t < numLabels_; ++t)
+      y[t] = targetOf(labels_[t], s);
+    fn(i, s.features, std::span<const double>(y.data(), numLabels_));
+  });
 }
 
 }  // namespace hcp::ml::shards

@@ -35,7 +35,9 @@
 // propagates (exit 5 in the tools), corrupt content is hcp::Error (exit 1).
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -49,8 +51,12 @@ namespace hcp::ml::shards {
 /// (and loudly rejects) every old shard.
 inline constexpr std::uint32_t kSchemaVersion = 1;
 
-/// Which of the three labels a ShardRowSource serves as the target.
+/// Which of the three labels a ShardRowSource serves as a target.
 enum class Label { Vertical, Horizontal, Average };
+
+/// Every label, in the order the predictor's models list them.
+inline constexpr std::array<Label, 3> kAllLabels = {
+    Label::Vertical, Label::Horizontal, Label::Average};
 
 std::string_view labelName(Label label);
 
@@ -134,21 +140,41 @@ class ShardSet {
 };
 
 /// Bounded-memory RowSource over a shard set: one shard resident at a
-/// time, visited in set order, serving `label` as the target. The size
-/// comes from the scanned headers, so construction reads no payloads.
+/// time, visited in set order, serving one label or several as the
+/// targets. Every pass reads each non-empty shard once, whatever the
+/// number of targets. The size comes from the scanned headers, so
+/// construction reads no payloads.
 class ShardRowSource final : public RowSource {
  public:
+  /// Serves `label` as the one target.
   explicit ShardRowSource(const ShardSet& set, Label label = Label::Average)
-      : set_(&set), label_(label) {}
+      : set_(&set), labels_{label}, numLabels_(1) {}
+  /// Serves `labels` as the targets, in that order (forEach serves the
+  /// first): kAllLabels feeds one fit of all three models.
+  ShardRowSource(const ShardSet& set, std::span<const Label> labels);
 
   std::size_t size() const override { return set_->totalSamples(); }
   std::size_t numFeatures() const override { return set_->numFeatures(); }
+  std::size_t numTargets() const override { return numLabels_; }
   void forEach(const RowFn& fn) const override;
   void visitParallel(const RowFn& fn) const override;
+  void forEachTargets(const TargetsFn& fn) const override {
+    visitTargets(false, fn);
+  }
+  void visitParallelTargets(const TargetsFn& fn) const override {
+    visitTargets(true, fn);
+  }
 
  private:
+  /// Loads each non-empty shard in turn and calls fn(index, sample) for its
+  /// samples, serially or on the pool.
+  template <typename Fn>
+  void visit(bool parallel, const Fn& fn) const;
+  void visitTargets(bool parallel, const TargetsFn& fn) const;
+
   const ShardSet* set_;
-  Label label_;
+  std::array<Label, kAllLabels.size()> labels_{};
+  std::size_t numLabels_;
 };
 
 }  // namespace hcp::ml::shards

@@ -39,32 +39,46 @@ std::vector<double> quantileEdges(std::vector<double>& column,
 
 }  // namespace
 
-void Binner::fitStreamed(const RowSource& source, std::uint32_t numBins,
-                         std::size_t columnBudgetBytes) {
+BinnedRows Binner::fitStreamed(const RowSource& source,
+                               std::uint32_t numBins,
+                               std::size_t columnBudgetBytes) {
   const std::size_t n = source.size();
   const std::size_t d = source.numFeatures();
   HCP_CHECK(n > 0 && d > 0);
   HCP_CHECK(numBins >= 2 && numBins <= 256);
   numBins_ = numBins;
   edges_.assign(d, {});
+  BinnedRows out;
+  out.bins.resize(n * d);
+  out.targets.assign(source.numTargets(), std::vector<double>(n));
 
   // Feature-block transposition under a fixed memory budget: only
   // `block` columns of doubles are resident at a time, so binning a corpus
-  // far larger than RAM costs ceil(d / block) sequential source passes.
+  // far larger than RAM costs ceil(d / block) source passes.
   const std::size_t block = std::clamp<std::size_t>(
       columnBudgetBytes / (n * sizeof(double)), 1, d);
   std::vector<std::vector<double>> cols(block);
   for (std::size_t fLo = 0; fLo < d; fLo += block) {
     const std::size_t fHi = std::min(d, fLo + block);
+    const bool first = fLo == 0;
     for (std::size_t j = 0; j < fHi - fLo; ++j) cols[j].assign(n, 0.0);
-    source.visitParallel(
-        [&](std::size_t i, const std::vector<double>& row, double) {
-          for (std::size_t f = fLo; f < fHi; ++f) cols[f - fLo][i] = row[f];
-        });
+    source.visitParallelTargets([&](std::size_t i,
+                                    const std::vector<double>& row,
+                                    std::span<const double> y) {
+      for (std::size_t f = fLo; f < fHi; ++f) cols[f - fLo][i] = row[f];
+      if (first)
+        for (std::size_t t = 0; t < y.size(); ++t) out.targets[t][i] = y[t];
+    });
     support::parallelFor(0, fHi - fLo, 1, [&](std::size_t j) {
-      edges_[fLo + j] = quantileEdges(cols[j], numBins);
+      const std::size_t f = fLo + j;
+      // quantileEdges reorders its buffer; the rows bin from the original.
+      std::vector<double> scratch = cols[j];
+      edges_[f] = quantileEdges(scratch, numBins);
+      std::uint8_t* col = out.bins.data() + f * n;
+      for (std::size_t i = 0; i < n; ++i) col[i] = binOf(f, cols[j][i]);
     });
   }
+  return out;
 }
 
 std::uint8_t Binner::binOf(std::size_t feature, double value) const {
@@ -72,22 +86,6 @@ std::uint8_t Binner::binOf(std::size_t feature, double value) const {
   const auto& edges = edges_[feature];
   const auto it = std::lower_bound(edges.begin(), edges.end(), value);
   return static_cast<std::uint8_t>(it - edges.begin());
-}
-
-std::vector<std::uint8_t> Binner::binColumns(
-    const RowSource& source, std::vector<double>& targets) const {
-  const std::size_t n = source.size();
-  const std::size_t d = edges_.size();
-  HCP_CHECK(source.numFeatures() == d);
-  std::vector<std::uint8_t> binned(n * d);
-  targets.assign(n, 0.0);
-  source.visitParallel(
-      [&](std::size_t i, const std::vector<double>& row, double y) {
-        for (std::size_t f = 0; f < d; ++f)
-          binned[f * n + i] = binOf(f, row[f]);
-        targets[i] = y;
-      });
-  return binned;
 }
 
 double Binner::threshold(std::size_t feature, std::uint8_t bin) const {
@@ -293,17 +291,14 @@ double RegressionTree::predictBinned(const std::vector<std::uint8_t>& binned,
 
 void RegressionTree::fit(const Dataset& data, const TreeConfig& config,
                          std::uint32_t numBins) {
-  const DatasetSource source(data);
   Binner binner;
-  binner.fitStreamed(source, numBins);
-  std::vector<double> targets;
-  const std::vector<std::uint8_t> binned = binner.binColumns(source, targets);
+  const BinnedRows binned = binner.fitStreamed(DatasetSource(data), numBins);
   std::vector<std::size_t> rows(data.size());
   for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i;
   std::vector<std::size_t> features(data.numFeatures());
   for (std::size_t f = 0; f < features.size(); ++f) features[f] = f;
-  fitBinned(binned, data.size(), targets, std::move(rows), features, binner,
-            config);
+  fitBinned(binned.bins, data.size(), binned.targets[0], std::move(rows),
+            features, binner, config);
 }
 
 int RegressionTree::depth() const {

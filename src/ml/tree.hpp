@@ -17,26 +17,31 @@
 
 namespace hcp::ml {
 
+/// A binned training set: the column-major n x d bin matrix (the bin of
+/// row i, feature f sits at bins[f * n + i]) and every target of the
+/// source (targets[t][i]).
+struct BinnedRows {
+  std::vector<std::uint8_t> bins;
+  std::vector<std::vector<double>> targets;
+};
+
 /// Quantile binning of a feature matrix.
 class Binner {
  public:
-  /// Fits up to `numBins` quantile bins per feature, gathering features in
-  /// column blocks sized to `columnBudgetBytes` of resident doubles, one
-  /// sequential source pass per block. Per-feature quantile edges depend
-  /// only on each column's value multiset, so the edges are bit-identical
-  /// at any block size and thread count.
-  void fitStreamed(const RowSource& source, std::uint32_t numBins,
-                   std::size_t columnBudgetBytes = std::size_t{64} << 20);
+  /// Fits up to `numBins` quantile bins per feature and bins every row of
+  /// `source`. Features are gathered in column blocks sized to
+  /// `columnBudgetBytes` of resident doubles, one source pass per block;
+  /// a block's columns are binned while they are resident, and the first
+  /// block's pass also captures the targets. Per-feature quantile edges
+  /// depend only on each column's value multiset, and each bin only on its
+  /// value, so edges and matrix are bit-identical at any block size and
+  /// thread count.
+  BinnedRows fitStreamed(const RowSource& source, std::uint32_t numBins,
+                         std::size_t columnBudgetBytes = std::size_t{64}
+                                                         << 20);
 
   /// Bin index of a raw value for a feature.
   std::uint8_t binOf(std::size_t feature, double value) const;
-
-  /// Bins every row of `source` into a column-major n x d matrix (the bin
-  /// of row i, feature f sits at [f * n + i]) and captures the targets in
-  /// `targets`. Rows are binned concurrently; each writes only its own
-  /// bytes, so the matrix is identical at any thread count.
-  std::vector<std::uint8_t> binColumns(const RowSource& source,
-                                       std::vector<double>& targets) const;
 
   /// Raw-value threshold "value <= threshold goes left" for a split at the
   /// upper edge of `bin`.

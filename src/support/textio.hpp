@@ -319,11 +319,37 @@ inline std::string readStr(std::istream& is, const char* what) {
   return s;
 }
 
+/// Writes one number exactly as `os << v` writes it under
+/// preparePrecision: an integer in plain decimal, a floating-point value as
+/// printf's "%.17g" (which is what `std::to_chars` with
+/// `chars_format::general` and precision 17 produces, nan, inf and -0
+/// included). It skips the locale num_put machinery, so it is several times
+/// faster per value, and it does not depend on the stream's precision.
+template <typename T>
+void writeNum(std::ostream& os, T v) {
+  static_assert(std::is_arithmetic_v<T> && !std::is_same_v<T, bool> &&
+                    !std::is_same_v<T, char> &&
+                    !std::is_same_v<T, signed char> &&
+                    !std::is_same_v<T, unsigned char>,
+                "writeNum takes integer and floating-point numbers");
+  char buf[32];  // "-2.2250738585072014e-308" is the longest double: 24
+  std::to_chars_result r;
+  if constexpr (std::is_floating_point_v<T>)
+    r = std::to_chars(buf, buf + sizeof buf, static_cast<double>(v),
+                      std::chars_format::general, 17);
+  else
+    r = std::to_chars(buf, buf + sizeof buf, v);
+  os.write(buf, r.ptr - buf);
+}
+
 /// `<n> v0 v1 ...` vectors of arithmetic values.
 template <typename T>
 void writeVec(std::ostream& os, const std::vector<T>& v) {
-  os << v.size();
-  for (const T& x : v) os << ' ' << x;
+  writeNum(os, v.size());
+  for (const T& x : v) {
+    os.put(' ');
+    writeNum(os, x);
+  }
 }
 
 template <typename T>

@@ -1,10 +1,14 @@
-// Shard format, ShardSet scanning, streaming RowSource and the
-// streamed-vs-in-memory byte-identity contract (DESIGN.md §19).
+// Shard format, ShardSet scanning, streaming RowSource, the
+// streamed-vs-in-memory byte-identity contract and the one fit that serves
+// all three labels (DESIGN.md §19).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <sstream>
+
+#include "core/predictor.hpp"
 
 #include "ml/gbrt.hpp"
 #include "ml/linear.hpp"
@@ -16,6 +20,7 @@
 #include "support/failpoint.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "support/telemetry.hpp"
 #include "test_util.hpp"
 
 namespace hcp::ml::shards {
@@ -386,6 +391,49 @@ TEST(ShardRowSource, LabelSelectsTarget) {
   }
 }
 
+TEST(ShardRowSource, AllLabelsServeEveryTargetInOnePass) {
+  test::TempDir dir(test::uniqueStem("rowsource", "all_labels"));
+  writeCorpus(dir.dir(), 2, 7, 4);
+  const ShardSet set(dir.dir());
+  const ShardRowSource source(set, kAllLabels);
+  ASSERT_EQ(source.numTargets(), 3u);
+
+  std::vector<std::array<double, 3>> expected;
+  for (std::size_t s = 0; s < set.numShards(); ++s)
+    for (const ShardSample& row : set.load(s).samples)
+      expected.push_back({row.vertical, row.horizontal, row.average});
+
+  const bool wasEnabled = support::telemetry::enabled();
+  support::telemetry::setEnabled(true);
+  support::telemetry::reset();
+  std::vector<std::array<double, 3>> serial(source.size());
+  source.forEachTargets([&](std::size_t i, const std::vector<double>&,
+                            std::span<const double> y) {
+    ASSERT_EQ(y.size(), 3u);
+    serial[i] = {y[0], y[1], y[2]};
+  });
+  EXPECT_EQ(support::telemetry::snapshot().counter(
+                support::telemetry::Counter::ShardReads),
+            set.numShards());
+  support::telemetry::setEnabled(wasEnabled);
+  EXPECT_EQ(serial, expected);
+
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    support::ScopedThreadLimit limit(threads);
+    std::vector<std::array<double, 3>> parallel(source.size());
+    source.visitParallelTargets([&](std::size_t i, const std::vector<double>&,
+                                    std::span<const double> y) {
+      parallel[i] = {y[0], y[1], y[2]};
+    });
+    EXPECT_EQ(parallel, expected) << threads << " threads";
+  }
+  // The one-target visit serves the first label.
+  source.forEach([&](std::size_t i, const std::vector<double>&, double y) {
+    EXPECT_EQ(y, expected[i][0]) << "sample " << i;
+  });
+  EXPECT_THROW(ShardRowSource(set, std::span<const Label>()), Error);
+}
+
 TEST(ShardRowSource, MaterializeEqualsLoads) {
   test::TempDir dir(test::uniqueStem("rowsource", "materialize"));
   writeCorpus(dir.dir(), 2, 9, 4);
@@ -445,6 +493,139 @@ TEST(StreamingFit, MlpByteIdenticalAcrossThreadCounts) {
     return std::make_unique<MlpRegressor>(MlpConfig{
         .hiddenLayers = {8, 4}, .batchSize = 16, .maxEpochs = 12});
   });
+}
+
+// --- one fit for all three labels ----------------------------------------
+
+using core::CongestionPredictor;
+using core::ModelKind;
+
+const ModelKind kKinds[] = {ModelKind::Linear, ModelKind::Gbrt,
+                            ModelKind::Ann};
+
+core::PredictorOptions optionsFor(ModelKind kind) {
+  core::PredictorOptions options;
+  options.kind = kind;
+  options.gbrt.numEstimators = 40;
+  options.mlp.maxEpochs = 15;
+  return options;
+}
+
+std::unique_ptr<Regressor> makeModel(const core::PredictorOptions& o) {
+  switch (o.kind) {
+    case ModelKind::Linear: return std::make_unique<LassoRegression>(o.lasso);
+    case ModelKind::Gbrt: return std::make_unique<Gbrt>(o.gbrt);
+    case ModelKind::Ann: return std::make_unique<MlpRegressor>(o.mlp);
+  }
+  return nullptr;
+}
+
+/// The vertical, horizontal and average models' bytes, in that order.
+std::array<std::string, 3> predictorBytes(const CongestionPredictor& p) {
+  return {modelBytes(p.verticalModel()), modelBytes(p.horizontalModel()),
+          modelBytes(p.averageModel())};
+}
+
+/// What three separate one-label fits write, one per `sources` entry.
+std::array<std::string, 3> singleLabelBytes(
+    const core::PredictorOptions& options,
+    const std::array<const RowSource*, 3>& sources) {
+  std::array<std::string, 3> bytes;
+  for (std::size_t t = 0; t < 3; ++t) {
+    const auto model = makeModel(options);
+    model->fitStreaming(*sources[t]);
+    bytes[t] = modelBytes(*model);
+  }
+  return bytes;
+}
+
+// trainFromShards fits all three models from one pass set; each must equal
+// the single-label fit over ShardRowSource(set, label), which is what a
+// per-label caller (perfbench's traced train path) runs.
+TEST(MultiLabelFit, TrainFromShardsEqualsSingleLabelFits) {
+  test::TempDir dir(test::uniqueStem("multilabel", "shards"));
+  writeCorpus(dir.dir(), 2, 60, 6);
+  const ShardSet set(dir.dir());
+  const ShardRowSource v(set, Label::Vertical), h(set, Label::Horizontal),
+      a(set, Label::Average);
+  for (const ModelKind kind : kKinds) {
+    const core::PredictorOptions options = optionsFor(kind);
+    CongestionPredictor predictor(options);
+    predictor.trainFromShards(set);
+    EXPECT_EQ(predictorBytes(predictor),
+              singleLabelBytes(options, {&v, &h, &a}))
+        << core::modelKindName(kind);
+  }
+}
+
+// train(LabeledDataset) goes through the same multi-label fit; it must
+// equal three DatasetSource fits at any thread count, telemetry on or off.
+TEST(MultiLabelFit, TrainOnDatasetEqualsSingleLabelFits) {
+  test::TempDir dir(test::uniqueStem("multilabel", "dataset"));
+  writeCorpus(dir.dir(), 2, 60, 6);
+  const ShardSet set(dir.dir());
+  core::LabeledDataset data;
+  data.vertical = materialize(ShardRowSource(set, Label::Vertical));
+  data.horizontal = materialize(ShardRowSource(set, Label::Horizontal));
+  data.average = materialize(ShardRowSource(set, Label::Average));
+  const DatasetSource v(data.vertical), h(data.horizontal), a(data.average);
+
+  const bool wasEnabled = support::telemetry::enabled();
+  for (const ModelKind kind : kKinds) {
+    const core::PredictorOptions options = optionsFor(kind);
+    const std::array<std::string, 3> want =
+        singleLabelBytes(options, {&v, &h, &a});
+    for (const bool telemetryOn : {false, true}) {
+      support::telemetry::setEnabled(telemetryOn);
+      for (const std::size_t threads : {1u, 2u, 4u}) {
+        support::ScopedThreadLimit limit(threads);
+        CongestionPredictor predictor(options);
+        predictor.train(data);
+        EXPECT_EQ(predictorBytes(predictor), want)
+            << core::modelKindName(kind) << ", " << threads
+            << " threads, telemetry " << telemetryOn;
+      }
+    }
+  }
+  support::telemetry::setEnabled(wasEnabled);
+}
+
+// One trainFromShards reads each shard once per pass its family needs:
+// Lasso 3 passes (means, stds, Gram), GBRT 1 (one feature block), MLP 1.
+// Reading per label again would triple these counts.
+TEST(MultiLabelFit, ShardReadsPerTrainFromShards) {
+  test::TempDir dir(test::uniqueStem("multilabel", "reads"));
+  writeCorpus(dir.dir(), 2, 60, 6);
+  const ShardSet set(dir.dir());
+  const bool wasEnabled = support::telemetry::enabled();
+  support::telemetry::setEnabled(true);
+  for (const auto& [kind, reads] :
+       {std::pair{ModelKind::Linear, 6u}, std::pair{ModelKind::Gbrt, 2u},
+        std::pair{ModelKind::Ann, 2u}}) {
+    support::telemetry::reset();
+    CongestionPredictor predictor(optionsFor(kind));
+    predictor.trainFromShards(set);
+    EXPECT_EQ(support::telemetry::snapshot().counter(
+                  support::telemetry::Counter::ShardReads),
+              reads)
+        << core::modelKindName(kind);
+  }
+  support::telemetry::reset();
+  support::telemetry::setEnabled(wasEnabled);
+}
+
+TEST(MultiLabelFit, RejectsModelCountOtherThanTargetCount) {
+  test::TempDir dir(test::uniqueStem("multilabel", "count"));
+  writeCorpus(dir.dir(), 1, 20, 4);
+  const ShardSet set(dir.dir());
+  LassoRegression a, b;
+  Gbrt c;
+  Regressor* two[] = {&a, &b};
+  EXPECT_THROW(fitEachTarget(ShardRowSource(set, kAllLabels), two), Error);
+  EXPECT_THROW(a.fitStreaming(ShardRowSource(set, kAllLabels)), Error);
+  Regressor* mixed[] = {&a, &c};
+  const Label vh[] = {Label::Vertical, Label::Horizontal};
+  EXPECT_THROW(fitEachTarget(ShardRowSource(set, vh), mixed), Error);
 }
 
 }  // namespace

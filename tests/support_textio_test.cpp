@@ -91,6 +91,71 @@ TEST(TextioDoubles, RandomAndEdgeValuesReadBackBitIdentical) {
   EXPECT_NO_THROW(expectEnd(mine, "values"));
 }
 
+// --- writeNum: the bytes `os << v` writes, at precision 17 -------------------
+
+std::string viaWriteNum(double v) {
+  std::ostringstream os;
+  writeNum(os, v);
+  return os.str();
+}
+
+TEST(TextioWriteNum, DoublesMatchOstreamByteForByte) {
+  std::vector<double> values = edgeDoubles();
+  for (const double v :
+       {std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(), 0.5, 100.0, -42.0,
+        1e16, 1e17, 123456789.0, 4294967296.0, 1e-5, 1e-4})
+    values.push_back(v);
+  std::mt19937_64 rng(2026);
+  std::uniform_int_distribution<std::int64_t> ints(-1000000, 1000000);
+  while (values.size() < 200000) {
+    // Raw bit patterns (every exponent, subnormals and NaN payloads
+    // included) and integer-valued doubles.
+    const std::uint64_t bits = rng();
+    double d;
+    std::memcpy(&d, &bits, sizeof d);
+    values.push_back(d);
+    values.push_back(static_cast<double>(ints(rng)));
+  }
+  for (const double v : values)
+    ASSERT_EQ(viaWriteNum(v), written(v)) << std::hexfloat << v;
+}
+
+template <typename T>
+void expectIntegerWritesMatch() {
+  for (const T v : {std::numeric_limits<T>::min(), T{0}, T{1}, T{10},
+                    std::numeric_limits<T>::max()}) {
+    std::ostringstream os;
+    writeNum(os, v);
+    EXPECT_EQ(os.str(), written(v));
+  }
+}
+
+TEST(TextioWriteNum, IntegersMatchOstream) {
+  expectIntegerWritesMatch<int>();
+  expectIntegerWritesMatch<std::int64_t>();
+  expectIntegerWritesMatch<std::uint32_t>();
+  expectIntegerWritesMatch<std::uint64_t>();
+  expectIntegerWritesMatch<std::size_t>();
+}
+
+TEST(TextioWriteNum, WriteVecMatchesOstreamAndReadsBack) {
+  const std::vector<double> v = edgeDoubles();
+  std::ostringstream mine, oracle;
+  preparePrecision(oracle);
+  writeVec(mine, v);
+  oracle << v.size();
+  for (const double x : v) oracle << ' ' << x;
+  EXPECT_EQ(mine.str(), oracle.str());
+  std::istringstream is(mine.str());
+  const std::vector<double> back = readVec<double>(is, "vec");
+  ASSERT_EQ(back.size(), v.size());
+  for (std::size_t i = 0; i < v.size(); ++i)
+    EXPECT_TRUE(sameBits(back[i], v[i])) << written(v[i]);
+}
+
 // --- integers: every instantiation in the loaders, at its limits -------------
 
 template <typename T>

@@ -40,10 +40,10 @@ void Gbrt::fitTargets(const RowSource& source,
   Binner binner;
   const BinnedRows binned = binner.fitStreamed(source, config_.numBins);
 
-  // A feature whose column holds one bin has an empty side at every cut:
-  // the leaf minimum rejects the cut, or with no minimum its gain is
-  // 0/0 = NaN, which never wins. Stages leave such features out of the
-  // split search; the trees are the ones a full search would grow.
+  // A feature whose column holds one bin has an empty side at every cut,
+  // and the split search rejects every such cut. Stages leave these
+  // features out of the search; the trees are the ones a full search would
+  // grow.
   std::vector<bool> canSplit(d);
   for (std::size_t f = 0; f < d; ++f) {
     const auto col = binned.bins.begin() + static_cast<std::ptrdiff_t>(f * n);

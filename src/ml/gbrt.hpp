@@ -16,7 +16,7 @@ struct GbrtConfig {
   std::size_t numEstimators = 300;
   double learningRate = 0.08;
   int maxDepth = 4;
-  std::size_t minSamplesLeaf = 8;
+  std::size_t minSamplesLeaf = 8;  ///< rows per side of a cut; 0 acts as 1
   double subsample = 0.8;        ///< row fraction per stage
   double featureFraction = 0.4;  ///< feature fraction per stage
   std::uint32_t numBins = 32;

@@ -124,10 +124,11 @@ std::int32_t RegressionTree::build(const std::vector<std::uint8_t>& binned,
   const double n = static_cast<double>(rows.size());
   nodes_[nodeIdx].value = sum / n;
 
-  if (depth >= config.maxDepth ||
-      rows.size() < 2 * config.minSamplesLeaf) {
-    return nodeIdx;
-  }
+  // Every cut leaves rows on both sides: an empty side has no mean, and
+  // with `sum - leftSum` rounded to nonzero it would score +inf and become
+  // a NaN leaf. A leaf minimum of 0 therefore acts as 1.
+  const std::size_t minLeaf = std::max<std::size_t>(1, config.minSamplesLeaf);
+  if (depth >= config.maxDepth || rows.size() < 2 * minLeaf) return nodeIdx;
 
   // Best split by variance-reduction gain over binned histograms. The scan
   // over candidate features shards across threads; each shard computes its
@@ -190,9 +191,7 @@ std::int32_t RegressionTree::build(const std::vector<std::uint8_t>& binned,
           leftCount += hc[b];
           const std::uint32_t rightCount =
               static_cast<std::uint32_t>(rows.size()) - leftCount;
-          if (leftCount < config.minSamplesLeaf ||
-              rightCount < config.minSamplesLeaf)
-            continue;
+          if (leftCount < minLeaf || rightCount < minLeaf) continue;
           const double rightSum = sum - leftSum;
           const double gain = leftSum * leftSum / leftCount +
                               rightSum * rightSum / rightCount - parentScore;

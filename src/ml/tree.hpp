@@ -58,7 +58,7 @@ class Binner {
 
 struct TreeConfig {
   int maxDepth = 4;
-  std::size_t minSamplesLeaf = 8;
+  std::size_t minSamplesLeaf = 8;  ///< rows per side of a cut; 0 acts as 1
 };
 
 class RegressionTree {

@@ -406,11 +406,9 @@ Dataset gbrtGoldenData(std::size_t n, std::uint64_t seed) {
   return data;
 }
 
-/// Feature-subsampled configs: one with no leaf minimum, one sampling a
-/// single feature per stage (a stage that draws the constant column grows a
-/// single leaf). Without a leaf minimum a cut that leaves one side empty
-/// can score +inf when `sum - leftSum` rounds to a nonzero value, and the
-/// empty side becomes a NaN leaf; the golden pins that known defect as is.
+/// Feature-subsampled configs: one with no leaf minimum (which acts as a
+/// minimum of 1), one sampling a single feature per stage (a stage that
+/// draws the constant column grows a single leaf).
 const GbrtConfig kGbrtGoldenConfigs[] = {
     {.numEstimators = 40, .minSamplesLeaf = 0, .featureFraction = 0.5,
      .seed = 4},
@@ -447,6 +445,32 @@ TEST(Gbrt, GoldenModelBytes) {
   EXPECT_EQ(bytes, test::slurpFile(goldenPath))
       << "fitted GBRT drifted from " << goldenPath
       << " (regenerate deliberately with HCP_REGEN_GOLDEN=1)";
+}
+
+// A cut with an empty side used to be scored when minSamplesLeaf was 0: if
+// `sum - leftSum` rounded to nonzero it scored +inf, won, and left a 0/0 =
+// NaN leaf, so every prediction through it was NaN (on this data, all of
+// them). Every cut now keeps rows on both sides.
+TEST(Gbrt, ZeroLeafMinimumGrowsNoNaN) {
+  const Dataset data = gbrtGoldenData(300, 31);
+  const Dataset unseen = gbrtGoldenData(50, 33);
+  Gbrt model(kGbrtGoldenConfigs[0]);
+  ASSERT_EQ(model.config().minSamplesLeaf, 0u);
+  model.fit(data);
+  EXPECT_TRUE(std::isfinite(model.trainLoss()));
+  for (const RegressionTree& t : model.trees())
+    for (const RegressionTree::Node& n : t.nodes())
+      ASSERT_TRUE(std::isfinite(n.value));
+  for (const Dataset* rows : {&data, &unseen})
+    for (std::size_t i = 0; i < rows->size(); ++i)
+      ASSERT_TRUE(std::isfinite(model.predict(rows->row(i)))) << i;
+  // And a leaf minimum of 0 fits exactly what a minimum of 1 fits.
+  GbrtConfig one = kGbrtGoldenConfigs[0];
+  one.minSamplesLeaf = 1;
+  Gbrt reference(one);
+  reference.fit(data);
+  for (std::size_t i = 0; i < unseen.size(); ++i)
+    EXPECT_EQ(model.predict(unseen.row(i)), reference.predict(unseen.row(i)));
 }
 
 // The split search shards features across the pool; the model bytes must

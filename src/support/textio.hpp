@@ -4,7 +4,8 @@
 // the flow cache needs:
 //
 //   - *exact* round trips: doubles are printed with 17 significant digits
-//     (writers call `preparePrecision` once per document), so
+//     (writers call `preparePrecision` once per document, and `writeNum`
+//     prints the same bytes without the stream's formatting), so
 //     save -> load -> save reproduces the original file byte for byte and
 //     loaded values are bit-identical to the saved ones;
 //   - robust strings: length-prefixed raw bytes (`5 hello`), so names with

@@ -30,6 +30,7 @@
 #include "fpga/device.hpp"
 #include "ml/mapnet.hpp"
 #include "ml/metrics.hpp"
+#include "support/envelope.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
@@ -372,6 +373,35 @@ TEST(GoldenMap, RoutedSpamFilterMapMatchesCheckedInGolden) {
   const MapPrediction golden = loadMapPredictionFromFile(goldenPath);
   EXPECT_EQ(golden.width, device.width());
   EXPECT_EQ(golden.height, device.height());
+}
+
+// The predicted map of a default-config model trained a few epochs on that
+// same routed spam_filter flow, pinned as the FNV-1a digest of its hcp-map
+// bytes. Any drift in either topology's arithmetic moves the digest.
+std::string predictedSpamFilterMapDigest(MapNetConfig::Topology topology) {
+  const auto device = fpga::Device::xc7z020like();
+  std::vector<core::FlowResult> flows;
+  flows.push_back(core::runFlow(apps::makeDesign("spam_filter"), device, {}));
+  const std::vector<MapSample> samples = core::buildMapSamples(
+      flows, device, core::gridConfigFor(fpga::PlacerConfig{}));
+  MapNetConfig config;
+  config.topology = topology;
+  config.epochs = 3;
+  MapNet model(config);
+  model.fit(samples);
+  const MapPrediction predicted = model.predict(samples[0].grid);
+  EXPECT_GT(predicted.tilesOver(0.0), 0u) << "a blank map pins nothing";
+  return support::Fnv1a().bytes(mapBytes(predicted)).hex();
+}
+
+TEST(GoldenMap, TileLinearPredictionMatchesPinnedDigest) {
+  EXPECT_EQ(predictedSpamFilterMapDigest(MapNetConfig::Topology::kTileLinear),
+            "de99907c61679462");
+}
+
+TEST(GoldenMap, ConvPredictionMatchesPinnedDigest) {
+  EXPECT_EQ(predictedSpamFilterMapDigest(MapNetConfig::Topology::kConv),
+            "aa1abe16501a7e83");
 }
 
 }  // namespace

@@ -18,6 +18,12 @@ namespace {
 using Plane = std::vector<double>;
 using Planes = std::vector<Plane>;
 
+constexpr std::size_t kHiddenChannels = 8;  ///< conv hidden width
+constexpr double kLearningRate = 0.05;
+constexpr double kL2 = 1e-5;  ///< weight decay (biases are not decayed)
+/// The hcp-mapmodel format version this build writes and reads.
+constexpr int kMapModelVersion = 2;
+
 /// 3x3 cross-correlation with zero padding. Weight layout is
 /// w[(oc*cin + ic)*9 + ky*3 + kx]. Each output channel is computed by one
 /// task that sums taps in a fixed pixel order, so the result is
@@ -161,89 +167,6 @@ void pointwiseGradW(const Planes& in, const Planes& dz,
   });
 }
 
-/// dX of the 1x1: dx[c][p] = sum_o w[o*cin+c] * dz[o][p].
-void pointwiseGradIn(const Planes& dz, const std::vector<double>& w,
-                     std::size_t cin, Planes& dx) {
-  const std::size_t cout = dz.size();
-  const std::size_t n = dz.empty() ? 0 : dz[0].size();
-  dx.resize(cin);
-  support::parallelFor(0, cin, 1, [&](std::size_t ic) {
-    Plane& g = dx[ic];
-    g.assign(n, 0.0);
-    for (std::size_t oc = 0; oc < cout; ++oc) {
-      const double wv = w[oc * cin + ic];
-      const Plane& d = dz[oc];
-      for (std::size_t p = 0; p < n; ++p) g[p] += wv * d[p];
-    }
-  });
-}
-
-/// Reciprocal von-Neumann neighbour counts per pixel; 0 when a pixel has no
-/// in-grid neighbours (a 1x1 grid — messages are defined as zero there).
-std::vector<double> neighbourInvCounts(std::uint32_t width,
-                                       std::uint32_t height) {
-  const std::size_t n = static_cast<std::size_t>(width) * height;
-  std::vector<double> inv(n, 0.0);
-  for (std::uint32_t y = 0; y < height; ++y) {
-    for (std::uint32_t x = 0; x < width; ++x) {
-      int k = 0;
-      if (x > 0) ++k;
-      if (x + 1 < width) ++k;
-      if (y > 0) ++k;
-      if (y + 1 < height) ++k;
-      if (k > 0) inv[static_cast<std::size_t>(y) * width + x] = 1.0 / k;
-    }
-  }
-  return inv;
-}
-
-/// msg[c][p] = mean of in-grid von-Neumann neighbours of in[c][.].
-void neighbourMean(const Planes& in, const std::vector<double>& inv,
-                   std::uint32_t width, std::uint32_t height, Planes& out) {
-  const std::size_t n = static_cast<std::size_t>(width) * height;
-  out.resize(in.size());
-  support::parallelFor(0, in.size(), 1, [&](std::size_t c) {
-    const Plane& x = in[c];
-    Plane& o = out[c];
-    o.assign(n, 0.0);
-    for (std::uint32_t y = 0; y < height; ++y) {
-      for (std::uint32_t xx = 0; xx < width; ++xx) {
-        const std::size_t p = static_cast<std::size_t>(y) * width + xx;
-        if (inv[p] == 0.0) continue;
-        double s = 0.0;
-        if (xx > 0) s += x[p - 1];
-        if (xx + 1 < width) s += x[p + 1];
-        if (y > 0) s += x[p - width];
-        if (y + 1 < height) s += x[p + width];
-        o[p] = s * inv[p];
-      }
-    }
-  });
-}
-
-/// Adjoint of neighbourMean: da[c][q] += sum over neighbours p of q of
-/// dm[c][p] * inv[p]. The neighbour relation is symmetric, so each output
-/// pixel reads its neighbours — no write races.
-void neighbourMeanAdjoint(const Planes& dm, const std::vector<double>& inv,
-                          std::uint32_t width, std::uint32_t height,
-                          Planes& da) {
-  support::parallelFor(0, dm.size(), 1, [&](std::size_t c) {
-    const Plane& d = dm[c];
-    Plane& o = da[c];
-    for (std::uint32_t y = 0; y < height; ++y) {
-      for (std::uint32_t xx = 0; xx < width; ++xx) {
-        const std::size_t p = static_cast<std::size_t>(y) * width + xx;
-        double s = 0.0;
-        if (xx > 0) s += d[p - 1] * inv[p - 1];
-        if (xx + 1 < width) s += d[p + 1] * inv[p + 1];
-        if (y > 0) s += d[p - width] * inv[p - width];
-        if (y + 1 < height) s += d[p + width] * inv[p + width];
-        o[p] += s;
-      }
-    }
-  });
-}
-
 void reluInPlace(Planes& a) {
   for (Plane& p : a)
     for (double& v : p) v = v > 0.0 ? v : 0.0;
@@ -378,7 +301,6 @@ std::string_view topologyName(MapNetConfig::Topology t) {
   switch (t) {
     case MapNetConfig::Topology::kTileLinear: return "tilelinear";
     case MapNetConfig::Topology::kConv: return "conv";
-    case MapNetConfig::Topology::kLattice: return "lattice";
   }
   return "?";
 }
@@ -386,36 +308,29 @@ std::string_view topologyName(MapNetConfig::Topology t) {
 MapNetConfig::Topology topologyFromName(const std::string& name) {
   if (name == "tilelinear") return MapNetConfig::Topology::kTileLinear;
   if (name == "conv") return MapNetConfig::Topology::kConv;
-  if (name == "lattice") return MapNetConfig::Topology::kLattice;
   HCP_CHECK_MSG(false, "unknown map-model topology '"
-                           << name
-                           << "' (valid: tilelinear, conv, lattice)");
+                           << name << "' (valid: tilelinear, conv)");
   return MapNetConfig::Topology::kConv;
 }
 
 struct MapNet::Workspace {
   std::uint32_t width = 0, height = 0;
-  std::vector<double> inv;  ///< neighbour reciprocal counts (lattice)
-  Planes z1, a1;            ///< first-stage pre/post activation
-  Planes yhat;              ///< [2][N] standardized heads
-  // Lattice round storage: act[0] is the embed activation.
-  std::vector<Planes> pre, act, msg;
+  Planes z1, a1;  ///< conv hidden pre/post activation
+  Planes yhat;    ///< [2][N] standardized heads
   // Gradient scratch, reused across samples.
-  Planes dY, dA, dB, dM;
-  std::vector<double> gw1, gb1, gw2, gb2, gSelf, gMsg, gbRound;
+  Planes dY, dA;
+  std::vector<double> gw1, gb1, gw2, gb2;
 };
 
 void MapNet::initWeights(Rng& rng) {
   const std::size_t c = inChannels_;
-  const std::size_t h = config_.hiddenChannels;
-  const std::size_t r = config_.rounds;
+  const std::size_t h = kHiddenChannels;
   auto fill = [&](std::vector<double>& w, std::size_t n, std::size_t fanIn) {
     w.resize(n);
     const double scale = 1.0 / std::sqrt(static_cast<double>(fanIn));
     for (double& v : w) v = rng.normal(0.0, scale);
   };
   w1_.clear(); b1_.clear(); w2_.clear(); b2_.clear();
-  wSelf_.clear(); wMsg_.clear(); bRound_.clear();
   switch (config_.topology) {
     case MapNetConfig::Topology::kTileLinear:
       fill(w1_, 2 * c, c);
@@ -427,83 +342,30 @@ void MapNet::initWeights(Rng& rng) {
       fill(w2_, 2 * h * 9, h * 9);
       b2_.assign(2, 0.0);
       break;
-    case MapNetConfig::Topology::kLattice:
-      fill(w1_, h * c, c);
-      b1_.assign(h, 0.0);
-      fill(wSelf_, r * h * h, 2 * h);
-      fill(wMsg_, r * h * h, 2 * h);
-      bRound_.assign(r * h, 0.0);
-      fill(w2_, 2 * h, h);
-      b2_.assign(2, 0.0);
-      break;
   }
 }
 
 void MapNet::forward(const Planes& x, std::uint32_t w, std::uint32_t h,
                      Workspace& ws) const {
-  const std::size_t hid = config_.hiddenChannels;
-  if (ws.width != w || ws.height != h) {
-    ws.width = w;
-    ws.height = h;
-    ws.inv = config_.topology == MapNetConfig::Topology::kLattice
-                 ? neighbourInvCounts(w, h)
-                 : std::vector<double>{};
-  }
+  ws.width = w;
+  ws.height = h;
   switch (config_.topology) {
     case MapNetConfig::Topology::kTileLinear:
       pointwiseForward(x, w1_, b1_, 2, ws.yhat);
       break;
     case MapNetConfig::Topology::kConv:
-      conv3x3Forward(x, w1_, b1_, hid, w, h, ws.z1);
+      conv3x3Forward(x, w1_, b1_, kHiddenChannels, w, h, ws.z1);
       ws.a1 = ws.z1;
       reluInPlace(ws.a1);
       conv3x3Forward(ws.a1, w2_, b2_, 2, w, h, ws.yhat);
       break;
-    case MapNetConfig::Topology::kLattice: {
-      const std::size_t rounds = config_.rounds;
-      pointwiseForward(x, w1_, b1_, hid, ws.z1);
-      ws.act.assign(rounds + 1, Planes{});
-      ws.pre.assign(rounds + 1, Planes{});
-      ws.msg.assign(rounds, Planes{});
-      ws.act[0] = ws.z1;
-      reluInPlace(ws.act[0]);
-      for (std::size_t r = 0; r < rounds; ++r) {
-        neighbourMean(ws.act[r], ws.inv, w, h, ws.msg[r]);
-        Planes self, msg;
-        pointwiseForward(
-            ws.act[r],
-            {wSelf_.begin() + static_cast<std::ptrdiff_t>(r * hid * hid),
-             wSelf_.begin() + static_cast<std::ptrdiff_t>((r + 1) * hid * hid)},
-            {bRound_.begin() + static_cast<std::ptrdiff_t>(r * hid),
-             bRound_.begin() + static_cast<std::ptrdiff_t>((r + 1) * hid)},
-            hid, self);
-        pointwiseForward(
-            ws.msg[r],
-            {wMsg_.begin() + static_cast<std::ptrdiff_t>(r * hid * hid),
-             wMsg_.begin() + static_cast<std::ptrdiff_t>((r + 1) * hid * hid)},
-            std::vector<double>(hid, 0.0), hid, msg);
-        Planes& pre = ws.pre[r + 1];
-        pre = std::move(self);
-        for (std::size_t c = 0; c < hid; ++c)
-          for (std::size_t p = 0; p < pre[c].size(); ++p)
-            pre[c][p] += msg[c][p];
-        ws.act[r + 1] = pre;
-        reluInPlace(ws.act[r + 1]);
-      }
-      pointwiseForward(ws.act[rounds], w2_, b2_, 2, ws.yhat);
-      break;
-    }
   }
 }
 
-double MapNet::backwardAndStep(const MapSample&, const Planes& x,
-                               const std::vector<double>& tv,
+double MapNet::backwardAndStep(const Planes& x, const std::vector<double>& tv,
                                const std::vector<double>& th, Workspace& ws) {
   const std::size_t n = tv.size();
   const double invN = n == 0 ? 0.0 : 1.0 / static_cast<double>(n);
-  const std::size_t hid = config_.hiddenChannels;
-  const double lr = config_.learningRate;
-  const double l2 = config_.l2;
 
   // Loss and output gradient in standardized space: L = 1/(2N) sum of
   // squared errors over both heads.
@@ -521,60 +383,20 @@ double MapNet::backwardAndStep(const MapSample&, const Planes& x,
   switch (config_.topology) {
     case MapNetConfig::Topology::kTileLinear:
       pointwiseGradW(x, ws.dY, ws.gw1, ws.gb1);
-      sgdStep(w1_, ws.gw1, lr, l2);
-      sgdStep(b1_, ws.gb1, lr, 0.0);
+      sgdStep(w1_, ws.gw1, kLearningRate, kL2);
+      sgdStep(b1_, ws.gb1, kLearningRate, 0.0);
       break;
-    case MapNetConfig::Topology::kConv: {
+    case MapNetConfig::Topology::kConv:
       conv3x3GradW(ws.a1, ws.dY, 2, ws.width, ws.height, ws.gw2, ws.gb2);
-      conv3x3GradIn(ws.dY, w2_, hid, ws.width, ws.height, ws.dA);
+      conv3x3GradIn(ws.dY, w2_, kHiddenChannels, ws.width, ws.height, ws.dA);
       reluBackward(ws.z1, ws.dA);
-      conv3x3GradW(x, ws.dA, hid, ws.width, ws.height, ws.gw1, ws.gb1);
-      sgdStep(w1_, ws.gw1, lr, l2);
-      sgdStep(b1_, ws.gb1, lr, 0.0);
-      sgdStep(w2_, ws.gw2, lr, l2);
-      sgdStep(b2_, ws.gb2, lr, 0.0);
+      conv3x3GradW(x, ws.dA, kHiddenChannels, ws.width, ws.height, ws.gw1,
+                   ws.gb1);
+      sgdStep(w1_, ws.gw1, kLearningRate, kL2);
+      sgdStep(b1_, ws.gb1, kLearningRate, 0.0);
+      sgdStep(w2_, ws.gw2, kLearningRate, kL2);
+      sgdStep(b2_, ws.gb2, kLearningRate, 0.0);
       break;
-    }
-    case MapNetConfig::Topology::kLattice: {
-      const std::size_t rounds = config_.rounds;
-      pointwiseGradW(ws.act[rounds], ws.dY, ws.gw2, ws.gb2);
-      pointwiseGradIn(ws.dY, w2_, hid, ws.dA);
-      ws.gSelf.assign(wSelf_.size(), 0.0);
-      ws.gMsg.assign(wMsg_.size(), 0.0);
-      ws.gbRound.assign(bRound_.size(), 0.0);
-      for (std::size_t r = rounds; r > 0; --r) {
-        reluBackward(ws.pre[r], ws.dA);  // dA is now dZ of round r
-        const std::vector<double> wSelfR(
-            wSelf_.begin() + static_cast<std::ptrdiff_t>((r - 1) * hid * hid),
-            wSelf_.begin() + static_cast<std::ptrdiff_t>(r * hid * hid));
-        const std::vector<double> wMsgR(
-            wMsg_.begin() + static_cast<std::ptrdiff_t>((r - 1) * hid * hid),
-            wMsg_.begin() + static_cast<std::ptrdiff_t>(r * hid * hid));
-        std::vector<double> gs, gbs, gm, gmb;
-        pointwiseGradW(ws.act[r - 1], ws.dA, gs, gbs);
-        pointwiseGradW(ws.msg[r - 1], ws.dA, gm, gmb);
-        for (std::size_t i = 0; i < gs.size(); ++i) {
-          ws.gSelf[(r - 1) * hid * hid + i] = gs[i];
-          ws.gMsg[(r - 1) * hid * hid + i] = gm[i];
-        }
-        for (std::size_t i = 0; i < gbs.size(); ++i)
-          ws.gbRound[(r - 1) * hid + i] = gbs[i];
-        pointwiseGradIn(ws.dA, wSelfR, hid, ws.dB);
-        pointwiseGradIn(ws.dA, wMsgR, hid, ws.dM);
-        neighbourMeanAdjoint(ws.dM, ws.inv, ws.width, ws.height, ws.dB);
-        ws.dA = std::move(ws.dB);
-      }
-      reluBackward(ws.z1, ws.dA);
-      pointwiseGradW(x, ws.dA, ws.gw1, ws.gb1);
-      sgdStep(w1_, ws.gw1, lr, l2);
-      sgdStep(b1_, ws.gb1, lr, 0.0);
-      sgdStep(wSelf_, ws.gSelf, lr, l2);
-      sgdStep(wMsg_, ws.gMsg, lr, l2);
-      sgdStep(bRound_, ws.gbRound, lr, 0.0);
-      sgdStep(w2_, ws.gw2, lr, l2);
-      sgdStep(b2_, ws.gb2, lr, 0.0);
-      break;
-    }
   }
   return loss;
 }
@@ -669,7 +491,7 @@ void MapNet::fit(const std::vector<MapSample>& data) {
     double epochLoss = 0.0;
     for (const std::size_t s : order) {
       forward(xs[s], data[s].grid.width, data[s].grid.height, ws);
-      epochLoss += backwardAndStep(data[s], xs[s], tvs[s], ths[s], ws);
+      epochLoss += backwardAndStep(xs[s], tvs[s], ths[s], ws);
     }
     finalLoss_ = epochLoss / static_cast<double>(data.size());
   }
@@ -713,50 +535,23 @@ MapPrediction MapNet::predict(const GridSample& grid) const {
 
 void MapNet::checkShapes() const {
   const std::size_t c = inChannels_;
-  const std::size_t h = config_.hiddenChannels;
-  const std::size_t r = config_.rounds;
+  const std::size_t h = kHiddenChannels;
   auto shape = [](const std::vector<double>& v, std::size_t want,
                   const char* what) {
     HCP_CHECK_MSG(v.size() == want, "mapnet tensor shape mismatch: " << what
                                         << " has " << v.size()
                                         << " values, expected " << want);
   };
-  switch (config_.topology) {
-    case MapNetConfig::Topology::kTileLinear:
-      shape(w1_, 2 * c, "w1");
-      shape(b1_, 2, "b1");
-      shape(w2_, 0, "w2");
-      shape(b2_, 0, "b2");
-      shape(wSelf_, 0, "wself");
-      shape(wMsg_, 0, "wmsg");
-      shape(bRound_, 0, "bround");
-      break;
-    case MapNetConfig::Topology::kConv:
-      shape(w1_, h * c * 9, "w1");
-      shape(b1_, h, "b1");
-      shape(w2_, 2 * h * 9, "w2");
-      shape(b2_, 2, "b2");
-      shape(wSelf_, 0, "wself");
-      shape(wMsg_, 0, "wmsg");
-      shape(bRound_, 0, "bround");
-      break;
-    case MapNetConfig::Topology::kLattice:
-      shape(w1_, h * c, "w1");
-      shape(b1_, h, "b1");
-      shape(w2_, 2 * h, "w2");
-      shape(b2_, 2, "b2");
-      shape(wSelf_, r * h * h, "wself");
-      shape(wMsg_, r * h * h, "wmsg");
-      shape(bRound_, r * h, "bround");
-      break;
-  }
+  const bool conv = config_.topology == MapNetConfig::Topology::kConv;
+  shape(w1_, conv ? h * c * 9 : 2 * c, "w1");
+  shape(b1_, conv ? h : 2, "b1");
+  shape(w2_, conv ? 2 * h * 9 : 0, "w2");
+  shape(b2_, conv ? 2 : 0, "b2");
 }
 
 void MapNet::write(std::ostream& os) const {
-  os << "shape " << inChannels_ << ' ' << config_.hiddenChannels << ' '
-     << config_.rounds << '\n';
-  os << "train " << config_.epochs << ' ' << config_.learningRate << ' '
-     << config_.l2 << ' ' << config_.seed << '\n';
+  os << "shape " << inChannels_ << '\n';
+  os << "train " << config_.epochs << ' ' << config_.seed << '\n';
   os << "scaler ";
   txt::writeVec(os, featMean_);
   os << ' ';
@@ -766,8 +561,7 @@ void MapNet::write(std::ostream& os) const {
      << '\n';
   for (const auto& [name, tensor] :
        std::initializer_list<std::pair<const char*, const std::vector<double>*>>{
-           {"w1", &w1_}, {"b1", &b1_}, {"w2", &w2_}, {"b2", &b2_},
-           {"wself", &wSelf_}, {"wmsg", &wMsg_}, {"bround", &bRound_}}) {
+           {"w1", &w1_}, {"b1", &b1_}, {"w2", &w2_}, {"b2", &b2_}}) {
     os << name << ' ';
     txt::writeVec(os, *tensor);
     os << '\n';
@@ -778,13 +572,9 @@ void MapNet::write(std::ostream& os) const {
 void MapNet::read(std::istream& is) {
   txt::expect(is, "shape");
   inChannels_ = txt::read<std::size_t>(is, "channel count");
-  config_.hiddenChannels = txt::read<std::size_t>(is, "hidden channels");
-  config_.rounds = txt::read<std::size_t>(is, "rounds");
   HCP_CHECK_MSG(inChannels_ > 0, "mapnet: channel count must be positive");
   txt::expect(is, "train");
   config_.epochs = txt::read<std::size_t>(is, "epochs");
-  config_.learningRate = txt::read<double>(is, "learning rate");
-  config_.l2 = txt::read<double>(is, "l2");
   config_.seed = txt::read<std::uint64_t>(is, "seed");
   txt::expect(is, "scaler");
   featMean_ = txt::readVec<double>(is, "feature means");
@@ -798,10 +588,18 @@ void MapNet::read(std::istream& is) {
   vStd_ = txt::read<double>(is, "v std");
   hMean_ = txt::read<double>(is, "h mean");
   hStd_ = txt::read<double>(is, "h std");
+  // fit() never writes a std that is not positive: a zero one divides the
+  // features into inf, a negative one mirrors the predicted map.
+  for (std::size_t c = 0; c < featStd_.size(); ++c)
+    HCP_CHECK_MSG(featStd_[c] > 0.0, "mapnet: feature std " << c << " is "
+                                         << featStd_[c]
+                                         << ", must be positive");
+  HCP_CHECK_MSG(vStd_ > 0.0 && hStd_ > 0.0,
+                "mapnet: target stds " << vStd_ << "/" << hStd_
+                                       << " must be positive");
   for (auto [name, tensor] :
        std::initializer_list<std::pair<const char*, std::vector<double>*>>{
-           {"w1", &w1_}, {"b1", &b1_}, {"w2", &w2_}, {"b2", &b2_},
-           {"wself", &wSelf_}, {"wmsg", &wMsg_}, {"bround", &bRound_}}) {
+           {"w1", &w1_}, {"b1", &b1_}, {"w2", &w2_}, {"b2", &b2_}}) {
     txt::expect(is, name);
     *tensor = txt::readVec<double>(is, name);
     // A model with a poisoned weight predicts NaN maps everywhere; reject
@@ -818,7 +616,8 @@ void MapNet::read(std::istream& is) {
 
 void saveMapModel(const MapNet& model, std::ostream& os) {
   txt::preparePrecision(os);
-  os << "hcp-mapmodel " << topologyName(model.config().topology) << " 1\n";
+  os << "hcp-mapmodel " << topologyName(model.config().topology) << ' '
+     << kMapModelVersion << '\n';
   model.write(os);
   HCP_CHECK_MSG(os.good(), "map-model write failed");
 }
@@ -827,7 +626,10 @@ MapNet loadMapModel(std::istream& is) {
   txt::expect(is, "hcp-mapmodel");
   const std::string kind = txt::read<std::string>(is, "model kind");
   const int version = txt::read<int>(is, "model version");
-  HCP_CHECK_MSG(version == 1, "unsupported map-model version " << version);
+  HCP_CHECK_MSG(version == kMapModelVersion,
+                "unsupported map-model version "
+                    << version << " (this build reads version "
+                    << kMapModelVersion << "; retrain with train-map)");
   MapNetConfig config;
   config.topology = topologyFromName(kind);
   MapNet model(config);

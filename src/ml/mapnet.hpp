@@ -1,28 +1,26 @@
 // Congestion-*map* models: predict the full per-tile V/H utilization grid
 // from placement-time grid features, instead of one scalar per IR op.
 //
-// Three fixed topologies, smallest first (PAPERS.md: Painting-on-Placement
-// predicts heatmaps with a conv net; LHNN passes messages over the tile
-// lattice):
+// Two fixed topologies (PAPERS.md: Painting-on-Placement predicts heatmaps
+// with a conv net):
 //
 //   tilelinear  one shared linear map per tile (1x1 conv, C -> 2 heads) —
 //               the baseline every learned variant must beat
-//   conv        3x3 conv (C -> H) + ReLU + 3x3 conv (H -> 2): each tile sees
+//   conv        3x3 conv (C -> 8) + ReLU + 3x3 conv (8 -> 2): each tile sees
 //               its 5x5 neighbourhood of features
-//   lattice     1x1 embed (C -> H) + R rounds of von-Neumann message
-//               passing (self + neighbour-mean linear maps, ReLU) + 1x1
-//               head — LHNN's lattice formulation on our grid
 //
-// All three are trained with plain SGD (per-sample updates, epoch-shuffled
-// by the model's own Rng) on standardized inputs and targets, under the
-// repository's determinism contract: the same samples and seed produce
-// byte-identical weights at any --threads value. Parallel work (forward
-// planes, weight-gradient accumulation) is split so each task owns its
-// output slice and every floating-point sum runs in one fixed order.
+// Both are trained with plain SGD (per-sample updates, epoch-shuffled by the
+// model's own Rng, learning rate 0.05, L2 1e-5 on weights) on standardized
+// inputs and targets, under the repository's determinism contract: the same
+// samples and seed produce byte-identical weights at any --threads value.
+// Parallel work (forward planes, weight-gradient accumulation) is split so
+// each task owns its output slice and every floating-point sum runs in one
+// fixed order.
 //
-// Serialization mirrors ml/serialize: header `hcp-mapmodel <topology> 1`,
-// 17-digit doubles, loud failures (truncation, NaN weights, tensor-shape
-// mismatches all throw hcp::Error; loadMapModelFromFile names the file).
+// Serialization mirrors ml/serialize: header `hcp-mapmodel <topology> 2`,
+// 17-digit doubles, loud failures (truncation, NaN weights, non-positive
+// scaler stds, tensor-shape mismatches and other format versions all throw
+// hcp::Error; loadMapModelFromFile names the file).
 #pragma once
 
 #include <cstdint>
@@ -91,18 +89,14 @@ void saveMapPredictionToFile(const MapPrediction& map,
 MapPrediction loadMapPredictionFromFile(const std::string& path);
 
 struct MapNetConfig {
-  enum class Topology : std::uint8_t { kTileLinear, kConv, kLattice };
+  enum class Topology : std::uint8_t { kTileLinear, kConv };
   Topology topology = Topology::kConv;
-  std::size_t hiddenChannels = 8;  ///< conv / lattice hidden width
-  std::size_t rounds = 2;          ///< lattice message-passing rounds
   std::size_t epochs = 40;
-  double learningRate = 0.05;
-  double l2 = 1e-5;
   std::uint64_t seed = 7;
 };
 
 std::string_view topologyName(MapNetConfig::Topology t);
-/// Throws hcp::Error on an unknown name (valid: tilelinear, conv, lattice).
+/// Throws hcp::Error on an unknown name (valid: tilelinear, conv).
 MapNetConfig::Topology topologyFromName(const std::string& name);
 
 class MapNet {
@@ -133,8 +127,7 @@ class MapNet {
   void initWeights(Rng& rng);
   void forward(const std::vector<std::vector<double>>& x, std::uint32_t w,
                std::uint32_t h, Workspace& ws) const;
-  double backwardAndStep(const MapSample& sample,
-                         const std::vector<std::vector<double>>& x,
+  double backwardAndStep(const std::vector<std::vector<double>>& x,
                          const std::vector<double>& tv,
                          const std::vector<double>& th, Workspace& ws);
   void checkShapes() const;
@@ -144,13 +137,10 @@ class MapNet {
   std::vector<double> featMean_, featStd_;           ///< per input channel
   double vMean_ = 0.0, vStd_ = 1.0;                  ///< target scaling
   double hMean_ = 0.0, hStd_ = 1.0;
-  // Weight storage by topology (unused tensors stay empty):
+  // Weight storage by topology (unused tensors stay empty), H = 8:
   //   tilelinear: w1 [2][C], b1 [2]
   //   conv:       w1 [H][C][9], b1 [H], w2 [2][H][9], b2 [2]
-  //   lattice:    w1 [H][C] embed, b1 [H], wSelf/wMsg [R][H][H],
-  //               bRound [R][H], w2 [2][H] head, b2 [2]
   std::vector<double> w1_, b1_, w2_, b2_;
-  std::vector<double> wSelf_, wMsg_, bRound_;
   std::size_t epochsRun_ = 0;
   double finalLoss_ = 0.0;
 };

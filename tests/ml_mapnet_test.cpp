@@ -8,12 +8,12 @@
 //      a fixed-seed flow, byte for byte.
 //   3. Determinism: the same samples + seed train byte-identical model
 //      files — and produce byte-identical predicted maps and identical
-//      MAE / hotspot-IoU numbers — at 1, 2 and 4 threads, for all three
+//      MAE / hotspot-IoU numbers — at 1, 2 and 4 threads, for both
 //      topologies.
-//   4. Corruption battery: truncated tensor blocks, NaN weights, grid-shape
-//      mismatches, version/topology skew and trailing garbage are all
-//      rejected with hcp::Error naming the file — never a crash, never a
-//      silently misloaded model.
+//   4. Corruption battery: truncated tensor blocks, NaN weights, scaler
+//      stds that are not positive, grid-shape mismatches, version/topology
+//      skew and trailing garbage are all rejected with hcp::Error naming
+//      the file — never a crash, never a silently misloaded model.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -179,8 +179,6 @@ std::vector<MapSample> syntheticMaps(std::size_t count, std::uint32_t width,
 MapNetConfig smallConfig(MapNetConfig::Topology topology) {
   MapNetConfig config;
   config.topology = topology;
-  config.hiddenChannels = 4;
-  config.rounds = 2;
   config.epochs = 4;
   config.seed = 7;
   return config;
@@ -241,8 +239,7 @@ TEST_P(MapNetTopologies, ModelRoundTripsByteIdentically) {
 INSTANTIATE_TEST_SUITE_P(
     AllTopologies, MapNetTopologies,
     ::testing::Values(MapNetConfig::Topology::kTileLinear,
-                      MapNetConfig::Topology::kConv,
-                      MapNetConfig::Topology::kLattice),
+                      MapNetConfig::Topology::kConv),
     [](const auto& info) { return std::string(topologyName(info.param)); });
 
 // --- 4. model corruption battery ------------------------------------------
@@ -255,16 +252,35 @@ class MapModelCorruption : public ::testing::Test {
     good_ = modelBytes(model);
   }
 
-  /// Expects `bytes` to be rejected with an hcp::Error naming the file.
-  void expectRejected(const std::string& tag, const std::string& bytes) {
+  /// Expects `bytes` to be rejected with an hcp::Error naming the file and
+  /// saying `reason`.
+  void expectRejected(const std::string& tag, const std::string& bytes,
+                      const std::string& reason = "") {
     TempFile file(hcp::test::uniqueStem("mapmodel", tag) + ".hcp", bytes);
     try {
       loadMapModelFromFile(file.path());
       FAIL() << tag << ": corrupted model must not load";
     } catch (const hcp::Error& e) {
-      EXPECT_NE(std::string(e.what()).find(file.path()), std::string::npos)
-          << tag << ": error must name the file: " << e.what();
+      const std::string what = e.what();
+      EXPECT_NE(what.find(file.path()), std::string::npos)
+          << tag << ": error must name the file: " << what;
+      EXPECT_NE(what.find(reason), std::string::npos)
+          << tag << ": error must say '" << reason << "': " << what;
     }
+  }
+
+  /// good_ with the `index`-th value of the line starting `key ` (values
+  /// counted from 0 after the key) replaced by `value`.
+  std::string withValue(const std::string& key, std::size_t index,
+                        const std::string& value) const {
+    std::size_t at = good_.find("\n" + key + " ");
+    EXPECT_NE(at, std::string::npos) << key;
+    at += key.size() + 2;
+    for (std::size_t i = 0; i < index; ++i) at = good_.find(' ', at) + 1;
+    const std::size_t end = good_.find_first_of(" \n", at);
+    std::string bad = good_;
+    bad.replace(at, end - at, value);
+    return bad;
   }
 
   std::string good_;
@@ -284,33 +300,51 @@ TEST_F(MapModelCorruption, TruncatedTensorBlock) {
 }
 
 TEST_F(MapModelCorruption, NanWeight) {
-  const auto w1 = good_.find("\nw1 ");
-  ASSERT_NE(w1, std::string::npos);
-  // Replace the first weight value ("w1 <count> <v0> ...") with nan.
-  const auto countEnd = good_.find(' ', w1 + 4);
-  const auto valueEnd = good_.find(' ', countEnd + 1);
-  std::string bad = good_;
-  bad.replace(countEnd + 1, valueEnd - countEnd - 1, "nan");
-  expectRejected("nan", bad);
+  // The first weight value ("w1 <count> <v0> ...") becomes nan.
+  expectRejected("nan", withValue("w1", 1, "nan"));
+}
+
+// A zero feature std used to load and then divide that channel into inf in
+// every predicted tile; a negative target std used to load and mirror the
+// map around its mean.
+TEST_F(MapModelCorruption, FeatureStdNotPositive) {
+  // "scaler <n> <means...> <n> <stds...>": the first std follows n means.
+  const std::size_t channels = features::GridFeatures::kNumChannels;
+  expectRejected("zero_feature_std", withValue("scaler", channels + 2, "0"),
+                 "feature std 0 is 0, must be positive");
+}
+
+TEST_F(MapModelCorruption, TargetStdNotPositive) {
+  // "targets <v mean> <v std> <h mean> <h std>".
+  expectRejected("negative_v_std", withValue("targets", 1, "-1.5"),
+                 "must be positive");
+  expectRejected("zero_h_std", withValue("targets", 3, "0"),
+                 "must be positive");
 }
 
 TEST_F(MapModelCorruption, WrongGridShape) {
-  // Claim one more hidden channel than the tensors provide.
-  const auto shape = good_.find("shape ");
-  ASSERT_NE(shape, std::string::npos);
+  // Conv tensors under a tilelinear header: w1 holds H*C*9 values, not 2*C.
   std::string bad = good_;
-  bad.replace(shape, 9, "shape 9");
-  expectRejected("shape", bad);
+  bad.replace(0, bad.find('\n'), "hcp-mapmodel tilelinear 2");
+  expectRejected("shape", bad, "tensor shape mismatch");
 }
 
 TEST_F(MapModelCorruption, UnknownTopologyAndVersionSkew) {
   std::string bad = good_;
-  bad.replace(0, bad.find('\n'), "hcp-mapmodel blob 1");
-  expectRejected("topology", bad);
+  bad.replace(0, bad.find('\n'), "hcp-mapmodel blob 2");
+  expectRejected("topology", bad, "unknown map-model topology 'blob'");
   bad = good_;
   bad.replace(0, bad.find('\n'), "hcp-mapmodel conv 9");
-  expectRejected("version", bad);
-  expectRejected("magic", "hcp-model conv 1\n");
+  expectRejected("version", bad, "unsupported map-model version 9");
+  expectRejected("magic", "hcp-model conv 2\n");
+}
+
+// Version 1 also carried the hidden width, learning rate, L2 and the
+// tensors of a since-removed topology; this build reads only version 2.
+TEST_F(MapModelCorruption, VersionOneIsRejected) {
+  std::string v1 = good_;
+  v1.replace(0, v1.find('\n'), "hcp-mapmodel conv 1");
+  expectRejected("v1", v1, "unsupported map-model version 1");
 }
 
 TEST_F(MapModelCorruption, TrailingGarbage) {

@@ -16,7 +16,7 @@
 //   hcp_cli advise <model.hcp> <design>
 //       predict + print congestion-resolution hints
 //   hcp_cli train-map <map.hcp> <design> [<design> ...]
-//           [--topology tilelinear|conv|lattice] [--epochs N]
+//           [--topology tilelinear|conv] [--epochs N]
 //       run flows, extract per-tile grid features and train a congestion-
 //       *map* model (full V/H heat map, not per-op scalars)
 //   hcp_cli predict-map <map.hcp> <design> [--map-out FILE]
@@ -54,8 +54,8 @@
 //   --model KIND      predictor kind for `train`: gbrt (default), ann, linear
 //   --shard-dir DIR   dataset shard directory for `shard` and
 //                     `train --from-shards`; HCP_SHARDS is the fallback
-//   --topology KIND   map-model topology for `train-map`: conv (default),
-//                     tilelinear, lattice
+//   --topology KIND   map-model topology for `train-map`: conv (default) or
+//                     tilelinear
 //   --epochs N        SGD epochs for `train-map` (default 40)
 //   --map-out FILE    where `predict-map` writes the map artifact
 //

@@ -274,7 +274,10 @@ class MapModelCorruption : public ::testing::Test {
   std::string withValue(const std::string& key, std::size_t index,
                         const std::string& value) const {
     std::size_t at = good_.find("\n" + key + " ");
-    EXPECT_NE(at, std::string::npos) << key;
+    if (at == std::string::npos) {
+      ADD_FAILURE() << "no '" << key << "' line in the model";
+      return good_;
+    }
     at += key.size() + 2;
     for (std::size_t i = 0; i < index; ++i) at = good_.find(' ', at) + 1;
     const std::size_t end = good_.find_first_of(" \n", at);
@@ -307,14 +310,11 @@ TEST_F(MapModelCorruption, NanWeight) {
 // A zero feature std used to load and then divide that channel into inf in
 // every predicted tile; a negative target std used to load and mirror the
 // map around its mean.
-TEST_F(MapModelCorruption, FeatureStdNotPositive) {
+TEST_F(MapModelCorruption, StdNotPositive) {
   // "scaler <n> <means...> <n> <stds...>": the first std follows n means.
   const std::size_t channels = features::GridFeatures::kNumChannels;
   expectRejected("zero_feature_std", withValue("scaler", channels + 2, "0"),
                  "feature std 0 is 0, must be positive");
-}
-
-TEST_F(MapModelCorruption, TargetStdNotPositive) {
   // "targets <v mean> <v std> <h mean> <h std>".
   expectRejected("negative_v_std", withValue("targets", 1, "-1.5"),
                  "must be positive");
@@ -336,15 +336,12 @@ TEST_F(MapModelCorruption, UnknownTopologyAndVersionSkew) {
   bad = good_;
   bad.replace(0, bad.find('\n'), "hcp-mapmodel conv 9");
   expectRejected("version", bad, "unsupported map-model version 9");
+  // Version 1 also carried the hidden width, learning rate, L2 and the
+  // tensors of a since-removed topology; it is rejected by its version.
+  bad = good_;
+  bad.replace(0, bad.find('\n'), "hcp-mapmodel conv 1");
+  expectRejected("v1", bad, "unsupported map-model version 1");
   expectRejected("magic", "hcp-model conv 2\n");
-}
-
-// Version 1 also carried the hidden width, learning rate, L2 and the
-// tensors of a since-removed topology; this build reads only version 2.
-TEST_F(MapModelCorruption, VersionOneIsRejected) {
-  std::string v1 = good_;
-  v1.replace(0, v1.find('\n'), "hcp-mapmodel conv 1");
-  expectRejected("v1", v1, "unsupported map-model version 1");
 }
 
 TEST_F(MapModelCorruption, TrailingGarbage) {

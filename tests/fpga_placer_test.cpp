@@ -8,6 +8,7 @@
 #include "fpga/placer.hpp"
 #include "hls/design.hpp"
 #include "rtl/generator.hpp"
+#include "support/envelope.hpp"
 
 namespace hcp::fpga {
 namespace {
@@ -191,6 +192,24 @@ Packing randomPacking(std::uint64_t seed, std::size_t n) {
   return p;
 }
 
+/// The packed spam_filter design, the flow's own fanout and site mix.
+Packing spamFilterPacking(const Device& dev) {
+  auto app = apps::spamFilter();
+  const auto design =
+      hls::synthesize(std::move(app.module), app.directives, {});
+  return pack(rtl::generateRtl(design).netlist, dev);
+}
+
+/// FNV-1a digest of everything a placement decides: the move counts, the
+/// bits of the final cost and every cluster's tile. One changed accept
+/// decision moves it.
+std::string placementDigest(const Placement& p) {
+  support::Fnv1a h;
+  h.u64(p.movesTried).u64(p.movesAccepted).f64(p.cost);
+  for (const TileXY& t : p.tileOfCluster) h.u64(t.x).u64(t.y);
+  return h.hex();
+}
+
 /// Places `packing` with both cost kernels under `ref` (whose costUpdate
 /// is overridden) and requires bit-identical results.
 void expectKernelsMatch(const Packing& packing, const Device& dev,
@@ -231,14 +250,10 @@ TEST(Placer, IncrementalKernelMatchesReferenceBitExact) {
       if (HasFatalFailure()) return;
     }
   }
-  auto app = apps::spamFilter();
-  const auto design =
-      hls::synthesize(std::move(app.module), app.directives, {});
   PlacerConfig cfg;
   cfg.seed = 42;
   cfg.effort = 4.0;
-  expectKernelsMatch(pack(rtl::generateRtl(design).netlist, dev), dev, cfg,
-                     "spam_filter");
+  expectKernelsMatch(spamFilterPacking(dev), dev, cfg, "spam_filter");
 }
 
 TEST(Placer, IncrementalKernelMatchesReferenceWithDensity) {
@@ -261,6 +276,57 @@ TEST(Placer, IncrementalKernelMatchesReferenceWithDensity) {
     ASSERT_EQ(a.tileOfCluster[c].x, b.tileOfCluster[c].x);
     ASSERT_EQ(a.tileOfCluster[c].y, b.tileOfCluster[c].y);
   }
+}
+
+// Golden placements. Each digest was written while the pre-incremental
+// cost kernel still existed and was asserted bit-equal to the incremental
+// one on exactly these inputs, so it is that reference algorithm's output.
+// The inputs cover both NetRec layouts (inline pins and edge-counted nets
+// with shrink rescans), mixed site classes and the density penalty. A
+// change that must not alter placements passes these unedited; one that
+// alters them on purpose updates the literals in the same commit.
+
+TEST(Placer, GoldenRandomPackings) {
+  struct Case {
+    std::uint64_t seed;
+    std::size_t n;
+    const char* digest;
+  };
+  const Case cases[] = {
+      {1, 24, "8366aa910c675ed8"},  {1, 180, "64a00922dc54c118"},
+      {1, 700, "493d33ab8eba39a3"},  {7, 24, "2702a905ed305d29"},
+      {7, 180, "c440211e822eed2c"},  {7, 700, "a50ea31cdf4305fe"},
+      {42, 24, "1607241bd97c7ef5"}, {42, 180, "63a0fedcf6f312d9"},
+      {42, 700, "cd1d5c5feb4d3af1"},
+  };
+  const Device dev = Device::xc7z020like();
+  for (const Case& c : cases) {
+    PlacerConfig cfg;
+    cfg.seed = c.seed;
+    cfg.effort = 8.0;
+    EXPECT_EQ(placementDigest(
+                  place(randomPacking(c.seed * 1000 + c.n, c.n), dev, cfg)),
+              c.digest)
+        << "seed " << c.seed << " n " << c.n;
+  }
+}
+
+TEST(Placer, GoldenSpamFilter) {
+  const Device dev = Device::xc7z020like();
+  PlacerConfig cfg;
+  cfg.seed = 42;
+  cfg.effort = 4.0;
+  EXPECT_EQ(placementDigest(place(spamFilterPacking(dev), dev, cfg)),
+            "2ec0d7fb325a889e");
+}
+
+TEST(Placer, GoldenDensity) {
+  const Device dev = Device::xc7z020like();
+  PlacerConfig cfg;
+  cfg.seed = 5;
+  cfg.densityWeight = 2.0;
+  EXPECT_EQ(placementDigest(place(randomPacking(99, 256), dev, cfg)),
+            "032652920a885fbb");
 }
 
 TEST(Placer, WirelengthMatchesCostTracking) {

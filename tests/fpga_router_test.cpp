@@ -10,6 +10,7 @@
 #include "fpga/router.hpp"
 #include "hls/design.hpp"
 #include "rtl/generator.hpp"
+#include "support/envelope.hpp"
 
 namespace hcp::fpga {
 namespace {
@@ -114,6 +115,61 @@ TEST(Router, DeterministicResults) {
   EXPECT_DOUBLE_EQ(r1.totalWirelength, r2.totalWirelength);
 }
 
+/// Thirty random point-to-point nets plus a corridor of twelve wide nets
+/// that overflows, so negotiation rips up and reroutes for several
+/// iterations.
+Fixture congestedFixture() {
+  Fixture f;
+  hcp::Rng rng(23);
+  for (int i = 0; i < 30; ++i) {
+    const auto a = f.addClusterAt(5 + rng.uniformInt(60),
+                                  5 + rng.uniformInt(60));
+    const auto b = f.addClusterAt(5 + rng.uniformInt(60),
+                                  5 + rng.uniformInt(60));
+    f.addNet(a, {b}, 8);
+  }
+  for (int i = 0; i < 12; ++i) {  // congested corridor
+    const auto a = f.addClusterAt(20, 38 + (i % 3));
+    const auto b = f.addClusterAt(50, 38 + (i % 3));
+    f.addNet(a, {b}, 24);
+  }
+  return f;
+}
+
+/// The packed spam_filter design and its placement at seed 42, effort 4:
+/// the flow's own net mix.
+Packing spamFilterPacking(const Device& dev) {
+  auto app = apps::spamFilter();
+  const auto design =
+      hls::synthesize(std::move(app.module), app.directives, {});
+  return pack(rtl::generateRtl(design).netlist, dev);
+}
+
+Placement spamFilterPlacement(const Packing& packing, const Device& dev) {
+  PlacerConfig placer;
+  placer.seed = 42;
+  placer.effort = 4.0;
+  return place(packing, dev, placer);
+}
+
+/// FNV-1a digest of everything a routing decides: iteration and overflow
+/// counts, the bits of the routed wirelength, every step of every route and
+/// both demand planes.
+std::string routingDigest(const RoutingResult& r, const Device& dev) {
+  support::Fnv1a h;
+  h.u64(static_cast<std::uint64_t>(r.iterationsRun))
+      .u64(r.overflowTiles)
+      .f64(r.totalWirelength);
+  for (const auto& steps : r.routes) {
+    h.u64(steps.size());
+    for (const RouteStep& s : steps) h.u64(s.x).u64(s.y).u64(s.vertical);
+  }
+  for (std::uint32_t y = 0; y < dev.height(); ++y)
+    for (std::uint32_t x = 0; x < dev.width(); ++x)
+      h.f64(r.map.vDemand(x, y)).f64(r.map.hDemand(x, y));
+  return h.hex();
+}
+
 /// Re-routes `placement` with the full-grid reference scan and requires the
 /// result to be byte-identical to `rd`, the dirty-tile sweep's routing under
 /// `cfg`.
@@ -153,20 +209,7 @@ TEST(Router, DirtyTileSweepMatchesFullGridScan) {
   // The synthetic fixture forces real congestion so negotiation actually
   // iterates; a bundled design's packing and placement adds the flow's own
   // net mix.
-  Fixture f;
-  hcp::Rng rng(23);
-  for (int i = 0; i < 30; ++i) {
-    const auto a = f.addClusterAt(5 + rng.uniformInt(60),
-                                  5 + rng.uniformInt(60));
-    const auto b = f.addClusterAt(5 + rng.uniformInt(60),
-                                  5 + rng.uniformInt(60));
-    f.addNet(a, {b}, 8);
-  }
-  for (int i = 0; i < 12; ++i) {  // congested corridor
-    const auto a = f.addClusterAt(20, 38 + (i % 3));
-    const auto b = f.addClusterAt(50, 38 + (i % 3));
-    f.addNet(a, {b}, 24);
-  }
+  const Fixture f = congestedFixture();
   const Device dev = Device::xc7z020like();
   RouterConfig dirty;
   dirty.maxIterations = 8;
@@ -176,16 +219,34 @@ TEST(Router, DirtyTileSweepMatchesFullGridScan) {
                             "synthetic");
   if (HasFatalFailure()) return;
 
-  auto app = apps::spamFilter();
-  const auto design =
-      hls::synthesize(std::move(app.module), app.directives, {});
-  const auto packing = pack(rtl::generateRtl(design).netlist, dev);
-  PlacerConfig placer;
-  placer.seed = 42;
-  placer.effort = 4.0;
-  const auto placement = place(packing, dev, placer);
+  const auto packing = spamFilterPacking(dev);
+  const auto placement = spamFilterPlacement(packing, dev);
   expectMatchesFullGridScan(route(packing, placement, dev, {}), packing,
                             placement, dev, {}, "spam_filter");
+}
+
+// Golden routings. Each digest was written while the full-grid
+// overflow/history sweep still existed and was asserted byte-identical to
+// the dirty-tile sweep on exactly these inputs, so it is that reference
+// sweep's output. A change that must not alter routes passes these
+// unedited; one that alters them on purpose updates the literals in the
+// same commit.
+
+TEST(Router, GoldenCongestedFixture) {
+  const Fixture f = congestedFixture();
+  const Device dev = Device::xc7z020like();
+  RouterConfig cfg;
+  cfg.maxIterations = 8;
+  const auto r = route(f.packing, f.placement, dev, cfg);
+  EXPECT_GT(r.iterationsRun, 1) << "fixture failed to congest";
+  EXPECT_EQ(routingDigest(r, dev), "9e42206fc91c9a46");
+}
+
+TEST(Router, GoldenSpamFilter) {
+  const Device dev = Device::xc7z020like();
+  const auto packing = spamFilterPacking(dev);
+  const auto r = route(packing, spamFilterPlacement(packing, dev), dev, {});
+  EXPECT_EQ(routingDigest(r, dev), "0fcb5fb3c837fbca");
 }
 
 TEST(Router, UtilizationAccountsCapacityBoost) {

@@ -9,35 +9,12 @@ namespace hcp::fpga {
 
 namespace {
 
-/// Axis-aligned bounds of one net's pins under a placement. This is THE
-/// bounding-box kernel: the annealer's reference recompute, the incremental
-/// path's shrink rescans and totalWirelength() all go through it, so there
-/// is a single implementation to keep correct.
-struct NetBounds {
-  std::uint32_t x0 = 0, x1 = 0, y0 = 0, y1 = 0;
-};
-
-NetBounds netBounds(const ClusterNet& net, const std::vector<TileXY>& tileOf) {
-  const TileXY d = tileOf[net.driver];
-  NetBounds b{d.x, d.x, d.y, d.y};
-  for (ClusterId s : net.sinks) {
-    const TileXY p = tileOf[s];
-    b.x0 = std::min(b.x0, p.x);
-    b.x1 = std::max(b.x1, p.x);
-    b.y0 = std::min(b.y0, p.y);
-    b.y1 = std::max(b.y1, p.y);
-  }
-  return b;
-}
-
 class Annealer {
  public:
   Annealer(const Packing& packing, const Device& device,
            const PlacerConfig& config)
       : packing_(packing), device_(device), config_(config),
-        rng_(config.seed),
-        incremental_(config.costUpdate ==
-                     PlacerConfig::CostUpdate::kIncremental) {}
+        rng_(config.seed) {}
 
   Placement run() {
     seedInitial();
@@ -56,20 +33,15 @@ class Annealer {
 
     Placement result;
     while (t > tStop) {
-      // One compiled sweep per cost-update mode: the hot loop carries no
-      // runtime mode branches, and neither mode's code pollutes the
-      // other's instruction stream.
-      const std::uint64_t accepted =
-          incremental_ ? sweep<true>(t, range, movesPerT, result, cost)
-                       : sweep<false>(t, range, movesPerT, result, cost);
+      const std::uint64_t accepted = sweep(t, range, movesPerT, result, cost);
 #ifndef NDEBUG
       // Debug-build drift check: the running cost minus the accumulated
       // density deltas is pure HPWL and must agree with a from-scratch
       // recount at every temperature step, so a future hot-path edit that
       // corrupts the box updates fails loudly here instead of silently
       // degrading QoR. (The density deltas themselves cannot be checked
-      // against densityPenaltyTotal(): the bit-identity-pinned swap delta
-      // is not an exact difference of the quadratic penalty — see
+      // against a recount of the total penalty: the golden-pinned swap
+      // delta is not an exact difference of the quadratic penalty — see
       // densityRunning_.) Tolerance covers benign FP accumulation over
       // millions of exact per-move deltas.
       {
@@ -101,8 +73,7 @@ class Annealer {
     result.tileOfCluster = tileOf_;
     // One final from-scratch recount, NOT the running cost: Placement::cost
     // is defined as pure bit-weighted HPWL, while the running value also
-    // carries density-penalty deltas. A single O(nets) pass here also keeps
-    // the serialized cost bit-identical to the pre-incremental placer.
+    // carries density-penalty deltas.
     result.cost = fullCost();
     return result;
   }
@@ -169,33 +140,11 @@ class Annealer {
     return config_.densityWeight * over * over / regionSupply_[region];
   }
 
-  double densityPenaltyTotal() const {
-    double total = 0.0;
-    for (std::size_t r = 0; r < regionPins_.size(); ++r)
-      total += regionPenalty(r);
-    return total;
-  }
-
-  /// Penalty delta of moving `pins` from region a to region b.
+  /// Penalty delta of moving `pins` from region a to region b. The
+  /// pre-move penalties are read from the commit-time cache instead of
+  /// recomputed, which drops up to two FP divisions from every evaluated
+  /// move; the cached doubles are bitwise what regionPenalty() returns.
   double densityDelta(std::size_t a, std::size_t b, double pins) const {
-    if (a == b || pins == 0.0 || config_.densityWeight <= 0.0) return 0.0;
-    const double before = regionPenalty(a) + regionPenalty(b);
-    const double overA = regionPins_[a] - pins - regionSupply_[a];
-    const double overB = regionPins_[b] + pins - regionSupply_[b];
-    double after = 0.0;
-    if (overA > 0) after += config_.densityWeight * overA * overA /
-                            regionSupply_[a];
-    if (overB > 0) after += config_.densityWeight * overB * overB /
-                            regionSupply_[b];
-    return after - before;
-  }
-
-  /// densityDelta with the pre-move penalties read from the commit-time
-  /// cache instead of recomputed — drops up to two FP divisions from every
-  /// evaluated move. The cached doubles are bitwise equal to what
-  /// regionPenalty() returns (same pure function of the same state), so
-  /// the delta, and with it the accept decision, is unchanged.
-  double densityDeltaFast(std::size_t a, std::size_t b, double pins) const {
     if (a == b || pins == 0.0 || config_.densityWeight <= 0.0) return 0.0;
     const double before = regionPenaltyCache_[a] + regionPenaltyCache_[b];
     const double overA = regionPins_[a] - pins - regionSupply_[a];
@@ -291,41 +240,19 @@ class Annealer {
   };
   static_assert(sizeof(NetRec) == 64, "NetRec must stay one cache line");
 
-  /// The pre-PR per-net state, kept verbatim for CostUpdate::kReference:
-  /// one fat array-of-structs record per net (box + embedded weight),
-  /// saved and restored whole on every move. The reference mode runs the
-  /// complete pre-incremental hot path — this layout included — so the
-  /// equivalence tests check the incremental kernel AND flat layouts
-  /// against what the code actually did before them, not against a
-  /// half-upgraded hybrid.
-  struct RefNetBox {
-    std::uint32_t x0 = 0, x1 = 0, y0 = 0, y1 = 0;
-    double weight = 1.0;
-    double hpwl() const { return weight * ((x1 - x0) + (y1 - y0)); }
-  };
-
-  bool referenceMode() const {
-    return config_.costUpdate == PlacerConfig::CostUpdate::kReference;
-  }
-
-  /// device_.index without the bounds check, for the incremental move path
-  /// only: every coordinate there comes from tilesOfType or tileOf_, both
-  /// in-range by construction. The reference path keeps the checked pre-PR
-  /// accessor.
+  /// device_.index without the bounds check, for the move path: every
+  /// coordinate there comes from tilesOfType or tileOf_, both in-range by
+  /// construction.
   std::size_t rawIndex(std::uint32_t x, std::uint32_t y) const {
     return static_cast<std::size_t>(y) * device_.width() + x;
   }
 
+  /// NetRec::hpwl is maintained as exactly weight * (current box span), so
+  /// summing the cached values in ascending net order is bit-identical to
+  /// a from-scratch recount.
   double fullCost() const {
     double c = 0.0;
-    if (referenceMode()) {
-      for (const RefNetBox& b : refBoxes_) c += b.hpwl();
-    } else {
-      // NetRec::hpwl is maintained as exactly weight * (current box span),
-      // so summing the cached values in the same ascending order is
-      // bit-identical to a from-scratch recount.
-      for (const NetRec& rec : netRec_) c += rec.hpwl;
-    }
+    for (const NetRec& rec : netRec_) c += rec.hpwl;
     return c;
   }
 
@@ -341,28 +268,6 @@ class Annealer {
   void buildIndex() {
     const std::size_t numClusters = packing_.clusters.size();
     const std::size_t numNets = packing_.nets.size();
-
-    if (referenceMode()) {
-      // Build ONLY the pre-PR structures and stop: a reference Annealer
-      // that also carried the incremental arrays (CSR adjacency, flat pin
-      // lists, SoA nets, scratch) would spread its working set across
-      // them and stop matching the placer this mode stands in for.
-      refNetsOfCluster_.resize(numClusters);
-      refBoxes_.resize(numNets);
-      for (std::size_t n = 0; n < numNets; ++n) {
-        const ClusterNet& net = packing_.nets[n];
-        // Pre-PR adjacency: per-cluster net lists with duplicate entries
-        // (a driver that also sinks the net appears twice); the per-move
-        // sort+unique pays for the duplication, as it originally did.
-        refNetsOfCluster_[net.driver].push_back(
-            static_cast<std::uint32_t>(n));
-        for (ClusterId s : net.sinks)
-          refNetsOfCluster_[s].push_back(static_cast<std::uint32_t>(n));
-        refBoxes_[n].weight = netWeight(net);
-        recomputeBoxReference(n);
-      }
-      return;
-    }
 
     // Inline pin positions are stored as 16-bit coordinates.
     HCP_CHECK(device_.width() <= 0xffff && device_.height() <= 0xffff);
@@ -564,19 +469,6 @@ class Annealer {
     eOut = ec;
   }
 
-  /// The pre-PR per-move recompute, verbatim: walk the net's driver field
-  /// and sinks vector (no flat pin array), write the AoS box. No edge-count
-  /// tally — the old code had none — so the reference path does no work
-  /// the old code never did.
-  void recomputeBoxReference(std::size_t n) {
-    const NetBounds b = netBounds(packing_.nets[n], tileOf_);
-    RefNetBox& rb = refBoxes_[n];
-    rb.x0 = b.x0;
-    rb.x1 = b.x1;
-    rb.y0 = b.y0;
-    rb.y1 = b.y1;
-  }
-
   /// O(1) single-axis pin move (VPR update_bb): `k` pins of the net leave
   /// `oldc` for `newc`. Returns true when an edge lost its last pin and the
   /// box may shrink — the caller must rescan. Counts can be transiently
@@ -614,19 +506,12 @@ class Annealer {
 
   double initialTemperature(double cost) {
     // Sample random moves; T0 = 20 * stddev of deltas (accept-most regime).
+    // tryMove writes no state, so each sample needs no undo.
     std::vector<double> deltas;
     const std::int64_t span = moveSpan(1.0);
     for (int i = 0; i < 128; ++i) {
-      const double d = incremental_ ? tryMove<true>(1.0, span)
-                                    : tryMove<false>(1.0, span);
-      if (d != kRejected) {
-        deltas.push_back(d);
-        if (incremental_) {
-          revertMove<true>();
-        } else {
-          revertMove<false>();
-        }
-      }
+      const double d = tryMove(span);
+      if (d != kRejected) deltas.push_back(d);
     }
     if (deltas.empty()) return std::max(1.0, cost * 0.05);
     double m = 0.0;
@@ -638,56 +523,39 @@ class Annealer {
     return std::max(1.0, 20.0 * v);
   }
 
-  /// Pre-incremental touched-set construction, kept verbatim under the
-  /// reference cost path: concat the (duplicate-bearing) per-cluster net
-  /// lists, sort, unique.
-  void collectTouchedReference(ClusterId a, ClusterId b) {
-    touched_.clear();
-    for (std::uint32_t net : refNetsOfCluster_[a]) touched_.push_back(net);
-    if (b != kNone)
-      for (std::uint32_t net : refNetsOfCluster_[b]) touched_.push_back(net);
-    std::sort(touched_.begin(), touched_.end());
-    touched_.erase(std::unique(touched_.begin(), touched_.end()),
-                   touched_.end());
-  }
-
   /// The per-move span of the target window, a pure function of `range`.
   std::int64_t moveSpan(double range) const {
     return static_cast<std::int64_t>(std::max(
         2.0, range * std::max(device_.width(), device_.height())));
   }
 
-  /// One temperature step's worth of moves, compiled separately per
-  /// cost-update mode. Returns the number of accepted moves.
-  template <bool kInc>
+  /// One temperature step's worth of moves. Returns the number of accepted
+  /// moves.
   std::uint64_t sweep(double t, double range, std::uint64_t movesPerT,
                       Placement& result, double& cost) {
-    // `range` is fixed for the whole sweep, so the incremental path hoists
-    // the window-span computation out of the per-move loop; the reference
-    // path recomputes it per move, as the pre-PR code did. Same value
-    // either way.
+    // `range` is fixed for the whole sweep, so the window span is computed
+    // once, not per move.
     const std::int64_t span = moveSpan(range);
     std::uint64_t accepted = 0;
     for (std::uint64_t m = 0; m < movesPerT; ++m) {
       ++result.movesTried;
-      const double delta = tryMove<kInc>(range, span);
+      const double delta = tryMove(span);
       if (delta == kRejected) continue;
       bool accept = delta <= 0.0;
       if (!accept) {
         const double u = rng_.uniformReal();
-        if (kInc && delta > kExpUnderflow * t) {
+        if (delta > kExpUnderflow * t) {
           // exp(-x) for x > 37 is below 2^-53, the smallest nonzero
           // value uniformReal can return, so u < exp(-delta/t) reduces
           // exactly to u == 0 — the libm call is skipped for hopeless
           // uphill moves without changing any decision or RNG draw.
-          // (Reference mode keeps the pre-PR exp call unconditionally.)
           accept = u == 0.0;
         } else {
           accept = u < std::exp(-delta / t);
         }
       }
       if (accept) {
-        commitMove<kInc>();
+        commitMove();
         cost += delta;
 #ifndef NDEBUG
         densityRunning_ += lastDensityDelta_;
@@ -696,40 +564,30 @@ class Annealer {
         ++result.movesAccepted;
         support::telemetry::observe(
             support::telemetry::Histogram::PlacerAcceptedMoveDelta, delta);
-      } else {
-        revertMove<kInc>();
       }
     }
     return accepted;
   }
 
-  /// Proposes a move; returns the cost delta or kRejected. State is staged in
-  /// moved_ / movedTo_ until commit/revert. `span` must equal
-  /// moveSpan(range) (recomputed internally by the reference mode).
-  template <bool kInc>
-  double tryMove(double range, std::int64_t span) {
+  /// Proposes a move to a tile at most `span` away; returns the cost delta
+  /// or kRejected. The move is staged in moveA_/moveB_/fromA_/toA_ and the
+  /// scratch arrays, and takes effect only through commitMove.
+  double tryMove(std::int64_t span) {
     const auto n = packing_.clusters.size();
     const ClusterId a = static_cast<ClusterId>(rng_.uniformInt(n));
-    TileType site;
-    if constexpr (kInc) {
-      site = static_cast<TileType>(siteOf_[a]);
-    } else {
-      site = packing_.clusters[a].site;
-    }
-    const auto& tiles = device_.tilesOfType(site);
+    const auto& tiles =
+        device_.tilesOfType(static_cast<TileType>(siteOf_[a]));
     if (tiles.size() < 2) return kRejected;
 
     // Pick a target tile within the range window around a's position.
     const TileXY pa = tileOf_[a];
-    if constexpr (!kInc) span = moveSpan(range);
     const auto& [tx, ty] = tiles[rng_.uniformInt(tiles.size())];
     if (std::llabs(static_cast<std::int64_t>(tx) - pa.x) > span ||
         std::llabs(static_cast<std::int64_t>(ty) - pa.y) > span)
       return kRejected;
     if (tx == pa.x && ty == pa.y) return kRejected;
 
-    const ClusterId b =
-        occupant_[kInc ? rawIndex(tx, ty) : device_.index(tx, ty)];
+    const ClusterId b = occupant_[rawIndex(tx, ty)];
 
     // Stage.
     moveA_ = a;
@@ -737,184 +595,137 @@ class Annealer {
     fromA_ = pa;
     toA_ = {tx, ty};
 
-    // Evaluate the move. The incremental path writes nothing: positions
-    // stay committed, the staged move is overlaid per pin, and the new
-    // boxes land in scratch (newBoxes_/newEdges_) — a rejected move, the
-    // common case, has nothing to undo at all, and only an accept pays the
-    // publication at commit. Small-net boxes are recomputed in-register
-    // from the pins cached inline in their NetRec; large-net boxes update
-    // in O(1) from the per-edge pin counts, and only a large box whose
-    // bounding edge lost its last pin pays a rescan. Both kernels produce
-    // identical integer boxes and sum `after` over the same ascending net
-    // order, so the returned delta — and with it the RNG stream and the
-    // final placement — is bit-identical between them.
+    // Evaluate the move. Nothing is written: positions stay committed, the
+    // staged move is overlaid per pin, and the new boxes land in scratch
+    // (newBoxes_/newEdges_), so a rejected move, the common case, has
+    // nothing to undo, and only an accept pays the publication at commit.
+    // Small-net boxes are recomputed in-register from the pins cached
+    // inline in their NetRec; large-net boxes update in O(1) from the
+    // per-edge pin counts, and only a large box whose bounding edge lost
+    // its last pin pays a rescan. Either way the new box is exactly what a
+    // from-scratch recompute gives, and `after` sums in ascending net
+    // order, so the delta is a pure function of the committed state and
+    // the staged move.
     double before = 0.0;
     double after = 0.0;
-    if constexpr (kInc) {
-      // One fused pass: linearly merge the two sorted CSR adjacency rows —
-      // the same set and order the pre-incremental concat+sort+unique
-      // produced — and evaluate each touched net as it is discovered, so
-      // its NetRec line is visited exactly once per move. The prefetch
-      // pre-pass gets the randomly-scattered record lines in flight
-      // together instead of paying each miss serially inside the merge.
-      // No state is written here: positions stay committed, the staged
-      // move is overlaid per pin, and new boxes land in scratch.
-      constexpr std::uint32_t kEndNet =
-          std::numeric_limits<std::uint32_t>::max();
-      std::uint32_t ia = adjStart_[a];
-      const std::uint32_t ea = adjStart_[a + 1];
-      std::uint32_t ib = 0, eb = 0;
-      if (b != kNone) {
-        ib = adjStart_[b];
-        eb = adjStart_[b + 1];
-      }
-      for (std::uint32_t i = ia; i < ea; ++i)
-        __builtin_prefetch(&netRec_[adjNet_[i]]);
-      for (std::uint32_t i = ib; i < eb; ++i)
-        __builtin_prefetch(&netRec_[adjNet_[i]]);
-      std::size_t count = 0;
-      const auto evalNet = [&](std::uint32_t net, std::uint32_t pinsA,
-                               std::uint32_t pinsB) {
-        const NetRec& rec = netRec_[net];
-        before += rec.hpwl;
-        BoxCoords nb;
-        if (const std::uint32_t cnt = rec.inlineCount; cnt != 0) {
-          // Small net: box recomputed in-register from the inline pins —
-          // the record's own line is the only memory touched.
-          nb = inlineBoxStaged(rec.u.small, cnt);
-        } else {
-          nb = rec.u.large.box;
-          EdgeCounts ne = rec.u.large.edges;
-          bool rescan = false;
-          if (pinsA > 0)
-            rescan = movePins(nb, ne, fromA_, toA_,
-                              static_cast<std::int32_t>(pinsA));
-          // Once a rescan is pending the counts are stale; skip straight
-          // to the rebuild, which overlays the staged move itself.
-          if (pinsB > 0 && !rescan)
-            rescan = movePins(nb, ne, toA_, fromA_,
-                              static_cast<std::int32_t>(pinsB));
-          if (rescan) {
-            rescanStaged(rec.u.large.pinStart, rec.u.large.pinEnd, nb, ne);
-            ++boxRescans_;
-          }
-          newEdges_[count] = ne;
-          newBoxes_[count] = nb;
-        }
-        touchedNet_[count] = net;
-        const double h = rec.weight * ((nb.x1 - nb.x0) + (nb.y1 - nb.y0));
-        newHpwl_[count] = h;
-        after += h;
-        ++count;
-      };
-      if (b == kNone) {
-        // Empty tile: a's row alone, in the same ascending order the merge
-        // would produce — no merge compares to pay.
-        for (std::uint32_t i = ia; i < ea; ++i)
-          evalNet(adjNet_[i], adjPins_[i], 0);
+    // One fused pass: linearly merge the two sorted CSR adjacency rows —
+    // the union of both clusters' nets in ascending order — and evaluate
+    // each touched net as it is discovered, so its NetRec line is visited
+    // exactly once per move. The prefetch pre-pass gets the
+    // randomly-scattered record lines in flight together instead of
+    // paying each miss serially inside the merge.
+    constexpr std::uint32_t kEndNet =
+        std::numeric_limits<std::uint32_t>::max();
+    std::uint32_t ia = adjStart_[a];
+    const std::uint32_t ea = adjStart_[a + 1];
+    std::uint32_t ib = 0, eb = 0;
+    if (b != kNone) {
+      ib = adjStart_[b];
+      eb = adjStart_[b + 1];
+    }
+    for (std::uint32_t i = ia; i < ea; ++i)
+      __builtin_prefetch(&netRec_[adjNet_[i]]);
+    for (std::uint32_t i = ib; i < eb; ++i)
+      __builtin_prefetch(&netRec_[adjNet_[i]]);
+    std::size_t count = 0;
+    const auto evalNet = [&](std::uint32_t net, std::uint32_t pinsA,
+                             std::uint32_t pinsB) {
+      const NetRec& rec = netRec_[net];
+      before += rec.hpwl;
+      BoxCoords nb;
+      if (const std::uint32_t cnt = rec.inlineCount; cnt != 0) {
+        // Small net: box recomputed in-register from the inline pins —
+        // the record's own line is the only memory touched.
+        nb = inlineBoxStaged(rec.u.small, cnt);
       } else {
-        while (ia < ea || ib < eb) {
-          const std::uint32_t na = ia < ea ? adjNet_[ia] : kEndNet;
-          const std::uint32_t nbId = ib < eb ? adjNet_[ib] : kEndNet;
-          if (na < nbId) {
-            evalNet(na, adjPins_[ia++], 0);
-          } else if (nbId < na) {
-            evalNet(nbId, 0, adjPins_[ib++]);
-          } else {
-            const std::uint32_t pa2 = adjPins_[ia++];
-            evalNet(na, pa2, adjPins_[ib++]);
-          }
+        nb = rec.u.large.box;
+        EdgeCounts ne = rec.u.large.edges;
+        bool rescan = false;
+        if (pinsA > 0)
+          rescan = movePins(nb, ne, fromA_, toA_,
+                            static_cast<std::int32_t>(pinsA));
+        // Once a rescan is pending the counts are stale; skip straight
+        // to the rebuild, which overlays the staged move itself.
+        if (pinsB > 0 && !rescan)
+          rescan = movePins(nb, ne, toA_, fromA_,
+                            static_cast<std::int32_t>(pinsB));
+        if (rescan) {
+          rescanStaged(rec.u.large.pinStart, rec.u.large.pinEnd, nb, ne);
+          ++boxRescans_;
         }
+        newEdges_[count] = ne;
+        newBoxes_[count] = nb;
       }
-      touchedCount_ = count;
+      touchedNet_[count] = net;
+      const double h = rec.weight * ((nb.x1 - nb.x0) + (nb.y1 - nb.y0));
+      newHpwl_[count] = h;
+      after += h;
+      ++count;
+    };
+    if (b == kNone) {
+      // Empty tile: a's row alone, in the same ascending order the merge
+      // would produce — no merge compares to pay.
+      for (std::uint32_t i = ia; i < ea; ++i)
+        evalNet(adjNet_[i], adjPins_[i], 0);
     } else {
-      collectTouchedReference(a, b);
-      refSavedBoxes_.clear();
-      for (std::uint32_t net : touched_) {
-        before += refBoxes_[net].hpwl();
-        refSavedBoxes_.push_back(refBoxes_[net]);
-      }
-      applyPositions<kInc>(toA_, fromA_);
-      for (std::uint32_t net : touched_) {
-        recomputeBoxReference(net);
-        after += refBoxes_[net].hpwl();
+      while (ia < ea || ib < eb) {
+        const std::uint32_t na = ia < ea ? adjNet_[ia] : kEndNet;
+        const std::uint32_t nbId = ib < eb ? adjNet_[ib] : kEndNet;
+        if (na < nbId) {
+          evalNet(na, adjPins_[ia++], 0);
+        } else if (nbId < na) {
+          evalNet(nbId, 0, adjPins_[ib++]);
+        } else {
+          const std::uint32_t pa2 = adjPins_[ia++];
+          evalNet(na, pa2, adjPins_[ib++]);
+        }
       }
     }
-    staged_ = true;
+    touchedCount_ = count;
 
     // Density term: cluster a moves fromA->toA; b (if any) the reverse.
-    // (Reference mode keeps the pre-PR division-based region lookup; the
-    // table lookup returns the same region id.)
-    double density;
-    if constexpr (kInc) {
-      const std::size_t ra = regionOfFast(fromA_);
-      const std::size_t rb = regionOfFast(toA_);
-      density = densityDeltaFast(ra, rb, clusterPins_[moveA_]);
-      if (moveB_ != kNone)
-        density += densityDeltaFast(rb, ra, clusterPins_[moveB_]);
-    } else {
-      const std::size_t ra = regionOf(fromA_);
-      const std::size_t rb = regionOf(toA_);
-      density = densityDelta(ra, rb, clusterPins_[moveA_]);
-      if (moveB_ != kNone)
-        density += densityDelta(rb, ra, clusterPins_[moveB_]);
-    }
+    const std::size_t ra = regionOfFast(fromA_);
+    const std::size_t rb = regionOfFast(toA_);
+    double density = densityDelta(ra, rb, clusterPins_[moveA_]);
+    if (moveB_ != kNone) density += densityDelta(rb, ra, clusterPins_[moveB_]);
 #ifndef NDEBUG
     lastDensityDelta_ = density;
 #endif
     return after - before + density;
   }
 
-  template <bool kInc>
-  void applyPositions(TileXY aPos, TileXY bPos) {
-    if constexpr (kInc) {
-      occupant_[rawIndex(fromA_.x, fromA_.y)] = moveB_;
-      occupant_[rawIndex(toA_.x, toA_.y)] = moveA_;
-    } else {
-      occupant_[device_.index(fromA_.x, fromA_.y)] = moveB_;
-      occupant_[device_.index(toA_.x, toA_.y)] = moveA_;
-    }
-    tileOf_[moveA_] = aPos;
-    if (moveB_ != kNone) tileOf_[moveB_] = bPos;
-  }
-
-  // Density bookkeeping mutates regionPins_ only here, on commit: tryMove
-  // computes its density delta purely from the *current* regionPins_, so a
-  // staged-but-unaccepted move has nothing to undo — revertMove can leave
-  // regionPins_ untouched and only restore positions and boxes.
-  template <bool kInc>
+  // The only place a move publishes state. Density bookkeeping mutates
+  // regionPins_ only here too: tryMove computes its density delta purely
+  // from the *current* regionPins_, so a rejected move has nothing to undo.
   void commitMove() {
-    // Only an accepted move publishes any state at all in incremental
-    // mode: positions (deferred from evaluation), the staged boxes, and
-    // the inline pin caches. The reference path mutated boxes in place
-    // during evaluation, as pre-PR, so it has nothing to publish here.
-    if constexpr (kInc) {
-      applyPositions<kInc>(toA_, fromA_);
-      for (std::size_t i = 0; i < touchedCount_; ++i) {
-        const std::uint32_t net = touchedNet_[i];
-        NetRec& rec = netRec_[net];
-        rec.hpwl = newHpwl_[i];
-        if (const std::uint32_t cnt = rec.inlineCount; cnt != 0) {
-          // Re-point the moved clusters' inline pin copies (same overlay
-          // rule the evaluation applied).
-          auto& P = rec.u.small;
-          for (std::uint32_t j = 0; j < cnt; ++j) {
-            if (P.cluster[j] == moveA_) {
-              P.px[j] = static_cast<std::uint16_t>(toA_.x);
-              P.py[j] = static_cast<std::uint16_t>(toA_.y);
-            } else if (P.cluster[j] == moveB_) {
-              P.px[j] = static_cast<std::uint16_t>(fromA_.x);
-              P.py[j] = static_cast<std::uint16_t>(fromA_.y);
-            }
+    occupant_[rawIndex(fromA_.x, fromA_.y)] = moveB_;
+    occupant_[rawIndex(toA_.x, toA_.y)] = moveA_;
+    tileOf_[moveA_] = toA_;
+    if (moveB_ != kNone) tileOf_[moveB_] = fromA_;
+    for (std::size_t i = 0; i < touchedCount_; ++i) {
+      const std::uint32_t net = touchedNet_[i];
+      NetRec& rec = netRec_[net];
+      rec.hpwl = newHpwl_[i];
+      if (const std::uint32_t cnt = rec.inlineCount; cnt != 0) {
+        // Re-point the moved clusters' inline pin copies (same overlay
+        // rule the evaluation applied).
+        auto& P = rec.u.small;
+        for (std::uint32_t j = 0; j < cnt; ++j) {
+          if (P.cluster[j] == moveA_) {
+            P.px[j] = static_cast<std::uint16_t>(toA_.x);
+            P.py[j] = static_cast<std::uint16_t>(toA_.y);
+          } else if (P.cluster[j] == moveB_) {
+            P.px[j] = static_cast<std::uint16_t>(fromA_.x);
+            P.py[j] = static_cast<std::uint16_t>(fromA_.y);
           }
-        } else {
-          rec.u.large.box = newBoxes_[i];
-          rec.u.large.edges = newEdges_[i];
         }
+      } else {
+        rec.u.large.box = newBoxes_[i];
+        rec.u.large.edges = newEdges_[i];
       }
     }
-    const std::size_t ra = kInc ? regionOfFast(fromA_) : regionOf(fromA_);
-    const std::size_t rb = kInc ? regionOfFast(toA_) : regionOf(toA_);
+    const std::size_t ra = regionOfFast(fromA_);
+    const std::size_t rb = regionOfFast(toA_);
     if (ra != rb) {
       regionPins_[ra] -= clusterPins_[moveA_];
       regionPins_[rb] += clusterPins_[moveA_];
@@ -922,32 +733,9 @@ class Annealer {
         regionPins_[rb] -= clusterPins_[moveB_];
         regionPins_[ra] += clusterPins_[moveB_];
       }
-      if constexpr (kInc) {
-        regionPenaltyCache_[ra] = regionPenalty(ra);
-        regionPenaltyCache_[rb] = regionPenalty(rb);
-      }
+      regionPenaltyCache_[ra] = regionPenalty(ra);
+      regionPenaltyCache_[rb] = regionPenalty(rb);
     }
-    staged_ = false;
-  }
-
-  template <bool kInc>
-  void revertMove() {
-    if (!staged_) return;
-    if constexpr (kInc) {
-      // Evaluation wrote nothing — positions stayed committed and the new
-      // boxes live in scratch — so rejecting the move is free.
-      staged_ = false;
-      return;
-    }
-    occupant_[device_.index(fromA_.x, fromA_.y)] = moveA_;
-    occupant_[device_.index(toA_.x, toA_.y)] = moveB_;
-    tileOf_[moveA_] = fromA_;
-    if (moveB_ != kNone) tileOf_[moveB_] = toA_;
-    // Reference mode rescinds its in-place box writes, as the pre-PR code
-    // did.
-    for (std::size_t i = 0; i < touched_.size(); ++i)
-      refBoxes_[touched_[i]] = refSavedBoxes_[i];
-    staged_ = false;
   }
 
   static constexpr ClusterId kNone =
@@ -957,13 +745,12 @@ class Annealer {
   const Device& device_;
   const PlacerConfig& config_;
   hcp::Rng rng_;
-  const bool incremental_;
 
   std::vector<TileXY> tileOf_;
   std::vector<ClusterId> occupant_;
   // Cluster site types as a flat byte array: the move generator reads one
   // L1-resident byte instead of chasing into the (much larger) cluster
-  // records. Incremental mode only; reference keeps the pre-PR access.
+  // records.
   std::vector<std::uint8_t> siteOf_;
 
   // Net state: one 64-byte record per net (see the comment block above
@@ -984,7 +771,7 @@ class Annealer {
   // regionOfFast tables (x/rs and (y/rs)*regionsPerRow) and the cached
   // per-region penalty values, refreshed for the two affected regions on
   // commit. Each cached value is bitwise what regionPenalty() would return,
-  // so reading it in densityDeltaFast preserves bit-identity.
+  // so reading it in densityDelta preserves bit-identity.
   std::vector<std::uint32_t> xRegionCol_, yRegionRow_;
   std::vector<double> regionPenaltyCache_;
 
@@ -992,29 +779,22 @@ class Annealer {
   // Debug-only drift-check bookkeeping: the density component of each
   // accepted delta, accumulated alongside the running cost so the check in
   // run() can subtract it and compare the HPWL part against an exact
-  // recount. Needed because the pre-PR (bit-identity-pinned) swap delta
-  // sums two independent single-cluster density deltas — for the quadratic
-  // penalty that is NOT an exact difference of densityPenaltyTotal(), so
-  // the running density legitimately diverges from a recount.
+  // recount. Needed because the (golden-pinned) swap delta sums two
+  // independent single-cluster density deltas — for the quadratic penalty
+  // that is NOT an exact difference of the total penalty, so the running
+  // density legitimately diverges from a recount.
   double densityRunning_ = 0.0;
   double lastDensityDelta_ = 0.0;
 #endif
 
   // Staged move state.
-  bool staged_ = false;
   ClusterId moveA_ = kNone, moveB_ = kNone;
   TileXY fromA_, toA_;
-  std::vector<std::uint32_t> touched_;     // reference path
-  std::vector<std::uint32_t> touchedNet_;  // incremental path, pre-sized
+  std::vector<std::uint32_t> touchedNet_;  // pre-sized
   std::size_t touchedCount_ = 0;           // live prefix of touchedNet_
   std::vector<BoxCoords> newBoxes_;        // staged boxes, touched order
   std::vector<EdgeCounts> newEdges_;       // staged counts, large nets only
   std::vector<double> newHpwl_;            // staged per-net HPWL values
-
-  // Reference-mode state (pre-PR layout; empty in incremental mode).
-  std::vector<std::vector<std::uint32_t>> refNetsOfCluster_;
-  std::vector<RefNetBox> refBoxes_;
-  std::vector<RefNetBox> refSavedBoxes_;
 
   std::uint64_t boxRescans_ = 0;
 };
@@ -1038,8 +818,16 @@ Placement place(const Packing& packing, const Device& device,
 double totalWirelength(const Packing& packing, const Placement& placement) {
   double total = 0.0;
   for (const ClusterNet& net : packing.nets) {
-    const NetBounds b = netBounds(net, placement.tileOfCluster);
-    total += static_cast<double>(net.width) * ((b.x1 - b.x0) + (b.y1 - b.y0));
+    const TileXY d = placement.tileOfCluster[net.driver];
+    std::uint32_t x0 = d.x, x1 = d.x, y0 = d.y, y1 = d.y;
+    for (ClusterId s : net.sinks) {
+      const TileXY p = placement.tileOfCluster[s];
+      x0 = std::min(x0, p.x);
+      x1 = std::max(x1, p.x);
+      y0 = std::min(y0, p.y);
+      y1 = std::max(y1, p.y);
+    }
+    total += static_cast<double>(net.width) * ((x1 - x0) + (y1 - y0));
   }
   return total;
 }

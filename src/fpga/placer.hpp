@@ -14,10 +14,10 @@
 // box may shrink (counted as placer_box_rescans). Hot-path state is laid
 // out as flat arrays (CSR cluster->net adjacency with per-net pin
 // multiplicities; separate coordinate / edge-count / weight arrays) for
-// cache locality. The pre-incremental kernel is retained as
-// CostUpdate::kReference: both paths draw the same RNG stream and sum cost
-// deltas in the same order, so they produce bit-identical placements —
-// asserted by the equivalence tests on random and bundled-design packings.
+// cache locality. There is one kernel: golden placement digests, written
+// while a pre-incremental reference kernel still existed and was asserted
+// bit-equal to this one, pin its output on random and bundled-design
+// packings, and debug builds recount the cost at every temperature step.
 // Placer speed is measured by perfbench (fpga.place_ns_per_move). See
 // DESIGN.md §15.
 #pragma once
@@ -46,13 +46,6 @@ struct PlacerConfig {
   std::uint32_t regionSize = 6;
   double supplyFraction = 0.55;
   double densityWeight = 3.0;  ///< 0 disables spreading (pure-HPWL ablation)
-
-  /// Cost-update kernel. kIncremental (default) is the O(1) edge-count
-  /// bounding-box path; kReference is the pre-incremental per-net full
-  /// rescan, kept as the oracle of the equivalence tests.
-  /// Both yield bit-identical placements for the same seed.
-  enum class CostUpdate : std::uint8_t { kIncremental, kReference };
-  CostUpdate costUpdate = CostUpdate::kIncremental;
 };
 
 struct TileXY {
@@ -72,9 +65,8 @@ Placement place(const Packing& packing, const Device& device,
                 const PlacerConfig& config = {});
 
 /// Bit-weighted HPWL of the whole packing under a placement (for tests and
-/// ablations; the placer tracks it incrementally). Shares the per-net
-/// bounding-box kernel with the annealer, so there is exactly one HPWL
-/// implementation to keep correct.
+/// ablations): a from-scratch recount, independent of the annealer's
+/// incremental bookkeeping and without its fanout weighting.
 double totalWirelength(const Packing& packing, const Placement& placement);
 
 }  // namespace hcp::fpga

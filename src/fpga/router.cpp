@@ -53,8 +53,7 @@ class Router {
 
       // Accumulate history on overflowed segments. Each tile's update is
       // independent, so the dirty-tile sweep produces bit-identical history
-      // values and overflow counts to the pre-incremental full-grid scan
-      // (kept below as the reference mode, asserted equal by the tests).
+      // values and overflow counts to a full-grid scan.
       bool anyOverflow = false;
       std::uint64_t overflowTilesThisIter = 0;
       const auto scanTile = [&](std::uint32_t x, std::uint32_t y) {
@@ -83,14 +82,10 @@ class Router {
       // iteration 0), walking their routes costs more than the grid scan it
       // replaces, so fall back to the full sweep — same result, the
       // scanned superset only adds zero-overflow no-ops.
-      bool fullScan = !config_.dirtyTileScan;
-      if (config_.dirtyTileScan) {
-        std::size_t steps = 0;
-        for (std::size_t n : work_) steps += routes_[n].size();
-        fullScan = steps >= device_.numTiles();
-      }
-      if (fullScan) {
-        if (config_.dirtyTileScan) dirtyScanned_ += device_.numTiles();
+      std::size_t steps = 0;
+      for (std::size_t n : work_) steps += routes_[n].size();
+      if (steps >= device_.numTiles()) {
+        dirtyScanned_ += device_.numTiles();
         for (std::uint32_t y = 0; y < device_.height(); ++y)
           for (std::uint32_t x = 0; x < device_.width(); ++x)
             scanTile(x, y);

@@ -18,9 +18,10 @@
 // reallocated per sink, and the per-iteration overflow/history sweep visits
 // only the dirty tiles touched by that iteration's rip-up/reroute work
 // (every tile that can be overflowed is dirty by construction — see
-// DESIGN.md §15). Both are bit-identical to the straightforward forms; the
-// full-grid sweep is retained behind RouterConfig::dirtyTileScan=false as
-// the oracle of the equivalence tests.
+// DESIGN.md §15), falling back to the whole grid when the work set is
+// large. Both are bit-identical to the straightforward forms: golden
+// routing digests, written while a full-grid reference sweep still existed
+// and was asserted equal, pin the output.
 #pragma once
 
 #include <cstdint>
@@ -36,11 +37,6 @@ struct RouterConfig {
   double historyGain = 0.35;  ///< history cost added per overflowed unit
   double presentFactorGrowth = 1.7;
   int bboxMargin = 7;         ///< A* window beyond the net bounding box
-  /// Overflow/history sweep per PathFinder iteration: dirty-tile set
-  /// (default) or the pre-incremental full-grid scan. Bit-identical
-  /// results either way (test-asserted); the flag exists for the
-  /// equivalence tests.
-  bool dirtyTileScan = true;
 };
 
 /// Per-net routed tree, as a list of directed unit steps.

@@ -210,74 +210,6 @@ std::string placementDigest(const Placement& p) {
   return h.hex();
 }
 
-/// Places `packing` with both cost kernels under `ref` (whose costUpdate
-/// is overridden) and requires bit-identical results.
-void expectKernelsMatch(const Packing& packing, const Device& dev,
-                        PlacerConfig ref, const std::string& label) {
-  ref.costUpdate = PlacerConfig::CostUpdate::kReference;
-  PlacerConfig inc = ref;
-  inc.costUpdate = PlacerConfig::CostUpdate::kIncremental;
-  const auto a = place(packing, dev, ref);
-  const auto b = place(packing, dev, inc);
-  ASSERT_EQ(a.movesTried, b.movesTried) << label;
-  ASSERT_EQ(a.movesAccepted, b.movesAccepted) << label;
-  ASSERT_EQ(a.cost, b.cost) << label;
-  ASSERT_EQ(a.tileOfCluster.size(), b.tileOfCluster.size()) << label;
-  for (std::size_t c = 0; c < a.tileOfCluster.size(); ++c) {
-    ASSERT_EQ(a.tileOfCluster[c].x, b.tileOfCluster[c].x)
-        << "cluster " << c << " " << label;
-    ASSERT_EQ(a.tileOfCluster[c].y, b.tileOfCluster[c].y)
-        << "cluster " << c << " " << label;
-  }
-}
-
-TEST(Placer, IncrementalKernelMatchesReferenceBitExact) {
-  // The incremental O(1) bounding-box kernel must replay the reference
-  // algorithm exactly: same RNG stream, same accept decisions, bit-equal
-  // cost. Randomized over seeds and sizes so both the inline-pin and the
-  // spilled edge-count paths (including rescans) are exercised, plus one
-  // bundled design's real packing (mixed site classes, the flow's own
-  // fanout mix) at reduced effort.
-  const Device dev = Device::xc7z020like();
-  for (std::uint64_t seed : {1u, 7u, 42u}) {
-    for (std::size_t n : {24u, 180u, 700u}) {
-      PlacerConfig cfg;
-      cfg.seed = seed;
-      cfg.effort = 8.0;
-      expectKernelsMatch(randomPacking(seed * 1000 + n, n), dev, cfg,
-                         "seed " + std::to_string(seed) + " n " +
-                             std::to_string(n));
-      if (HasFatalFailure()) return;
-    }
-  }
-  PlacerConfig cfg;
-  cfg.seed = 42;
-  cfg.effort = 4.0;
-  expectKernelsMatch(spamFilterPacking(dev), dev, cfg, "spam_filter");
-}
-
-TEST(Placer, IncrementalKernelMatchesReferenceWithDensity) {
-  // Same contract with the congestion penalty active (density deltas join
-  // the cost sum; the summation order must still match the reference).
-  const Device dev = Device::xc7z020like();
-  const auto packing = randomPacking(99, 256);
-  PlacerConfig ref;
-  ref.seed = 5;
-  ref.densityWeight = 2.0;
-  ref.costUpdate = PlacerConfig::CostUpdate::kReference;
-  PlacerConfig inc = ref;
-  inc.costUpdate = PlacerConfig::CostUpdate::kIncremental;
-  const auto a = place(packing, dev, ref);
-  const auto b = place(packing, dev, inc);
-  EXPECT_EQ(a.movesTried, b.movesTried);
-  EXPECT_EQ(a.movesAccepted, b.movesAccepted);
-  EXPECT_EQ(a.cost, b.cost);
-  for (std::size_t c = 0; c < a.tileOfCluster.size(); ++c) {
-    ASSERT_EQ(a.tileOfCluster[c].x, b.tileOfCluster[c].x);
-    ASSERT_EQ(a.tileOfCluster[c].y, b.tileOfCluster[c].y);
-  }
-}
-
 // Golden placements. Each digest was written while the pre-incremental
 // cost kernel still existed and was asserted bit-equal to the incremental
 // one on exactly these inputs, so it is that reference algorithm's output.

@@ -170,61 +170,6 @@ std::string routingDigest(const RoutingResult& r, const Device& dev) {
   return h.hex();
 }
 
-/// Re-routes `placement` with the full-grid reference scan and requires the
-/// result to be byte-identical to `rd`, the dirty-tile sweep's routing under
-/// `cfg`.
-void expectMatchesFullGridScan(const RoutingResult& rd,
-                               const Packing& packing,
-                               const Placement& placement, const Device& dev,
-                               RouterConfig cfg, const std::string& label) {
-  cfg.dirtyTileScan = false;
-  const auto rf = route(packing, placement, dev, cfg);
-  ASSERT_EQ(rd.iterationsRun, rf.iterationsRun) << label;
-  EXPECT_EQ(rd.overflowTiles, rf.overflowTiles) << label;
-  EXPECT_EQ(rd.totalWirelength, rf.totalWirelength)  // bit-equal, not near
-      << label;
-  ASSERT_EQ(rd.routes.size(), rf.routes.size()) << label;
-  for (std::size_t n = 0; n < rd.routes.size(); ++n) {
-    ASSERT_EQ(rd.routes[n].size(), rf.routes[n].size())
-        << "net " << n << " " << label;
-    for (std::size_t s = 0; s < rd.routes[n].size(); ++s) {
-      EXPECT_EQ(rd.routes[n][s].x, rf.routes[n][s].x) << label;
-      EXPECT_EQ(rd.routes[n][s].y, rf.routes[n][s].y) << label;
-      EXPECT_EQ(rd.routes[n][s].vertical, rf.routes[n][s].vertical) << label;
-    }
-  }
-  for (std::uint32_t y = 0; y < dev.height(); ++y)
-    for (std::uint32_t x = 0; x < dev.width(); ++x) {
-      ASSERT_EQ(rd.map.vDemand(x, y), rf.map.vDemand(x, y))
-          << "tile " << x << "," << y << " " << label;
-      ASSERT_EQ(rd.map.hDemand(x, y), rf.map.hDemand(x, y))
-          << "tile " << x << "," << y << " " << label;
-    }
-}
-
-TEST(Router, DirtyTileSweepMatchesFullGridScan) {
-  // The dirty-tile overflow/history sweep must be byte-identical to the
-  // pre-incremental full-grid scan — same overflow counts, same history
-  // accumulation, hence the same rip-up set and bit-equal final routes.
-  // The synthetic fixture forces real congestion so negotiation actually
-  // iterates; a bundled design's packing and placement adds the flow's own
-  // net mix.
-  const Fixture f = congestedFixture();
-  const Device dev = Device::xc7z020like();
-  RouterConfig dirty;
-  dirty.maxIterations = 8;
-  const auto rd = route(f.packing, f.placement, dev, dirty);
-  EXPECT_GT(rd.iterationsRun, 1) << "fixture failed to congest";
-  expectMatchesFullGridScan(rd, f.packing, f.placement, dev, dirty,
-                            "synthetic");
-  if (HasFatalFailure()) return;
-
-  const auto packing = spamFilterPacking(dev);
-  const auto placement = spamFilterPlacement(packing, dev);
-  expectMatchesFullGridScan(route(packing, placement, dev, {}), packing,
-                            placement, dev, {}, "spam_filter");
-}
-
 // Golden routings. Each digest was written while the full-grid
 // overflow/history sweep still existed and was asserted byte-identical to
 // the dirty-tile sweep on exactly these inputs, so it is that reference

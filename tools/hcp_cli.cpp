@@ -31,11 +31,11 @@
 //   hcp_cli compare-reports BASE.json NEW.json [--max-wall-regress PCT]
 //           [--require-counters-equal] [--bench-out FILE]
 //       diff two run reports (spans, counters, histograms) and exit
-//       nonzero on regression — the CI gate. With --max-wall-regress,
+//       nonzero on regression — the regression gate. With --max-wall-regress,
 //       total_wall_ms may grow by at most PCT percent; with
 //       --require-counters-equal, every counter total and histogram
 //       observation count must match exactly. --bench-out writes a
-//       machine-readable summary (CI uploads BENCH_observability.json).
+//       machine-readable summary.
 //
 // Common options:
 //   --seed N          master seed for the stochastic stages (default 42)
@@ -131,9 +131,9 @@ int usage() {
 /// killing the process. Returns 0 for `return checkStdout();` call sites.
 int checkStdout() {
   if (std::fflush(stdout) != 0 || std::ferror(stdout))
-    throw IoError(
-        "stdout write failed: " + std::string(std::strerror(errno)),
-        "<stdout>");
+    throw IoError("write to <stdout> failed: " +
+                      std::string(std::strerror(errno)),
+                  "<stdout>");
   return 0;
 }
 
@@ -217,6 +217,9 @@ Args parse(int argc, char** argv, int first) {
       args.model = value(i, "--model");
     } else if (a == "--topology") {
       args.topology = value(i, "--topology");
+      if (args.topology != "tilelinear" && args.topology != "conv")
+        usageError("--topology expects tilelinear or conv, got '" +
+                   args.topology + "'");
     } else if (a == "--epochs") {
       args.epochs = parseUint("--epochs", value(i, "--epochs"));
       if (args.epochs == 0) usageError("--epochs expects N >= 1");

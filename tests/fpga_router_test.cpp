@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <map>
+#include <set>
 #include <string>
 
 #include "apps/digit_spam.hpp"
@@ -170,12 +171,15 @@ std::string routingDigest(const RoutingResult& r, const Device& dev) {
   return h.hex();
 }
 
-// Golden routings. Each digest was written while the full-grid
+// Golden routings. The first two digests were written while the full-grid
 // overflow/history sweep still existed and was asserted byte-identical to
-// the dirty-tile sweep on exactly these inputs, so it is that reference
-// sweep's output. A change that must not alter routes passes these
-// unedited; one that alters them on purpose updates the literals in the
-// same commit.
+// the dirty-tile sweep on exactly these inputs, so they are that reference
+// sweep's output. The rest were written while the sink search was plain
+// Dijkstra: negotiated costs that vary per tile, equal-cost ties on an
+// empty device, and a zero margin where the search window is the
+// terminals' bounding box. A change that must not alter routes passes
+// these unedited; one that alters them on purpose updates the literals in
+// the same commit.
 
 TEST(Router, GoldenCongestedFixture) {
   const Fixture f = congestedFixture();
@@ -192,6 +196,102 @@ TEST(Router, GoldenSpamFilter) {
   const auto packing = spamFilterPacking(dev);
   const auto r = route(packing, spamFilterPlacement(packing, dev), dev, {});
   EXPECT_EQ(routingDigest(r, dev), "0fcb5fb3c837fbca");
+}
+
+/// `n` clusters on random tiles of a square a little wider than sqrt(n),
+/// with n random nets: widths 1-16, ~80% of them 1-4 sinks and the rest
+/// 6-23. The larger squares are dense enough that channels overflow, so
+/// over several iterations the history and present costs differ from tile
+/// to tile.
+Fixture randomFixture(std::uint64_t seed, std::size_t n) {
+  Fixture f;
+  hcp::Rng rng(seed);
+  const auto side = static_cast<std::uint32_t>(4 + std::sqrt(double(n)));
+  for (std::size_t i = 0; i < n; ++i)
+    f.addClusterAt(10 + static_cast<std::uint32_t>(rng.uniformInt(side)),
+                   10 + static_cast<std::uint32_t>(rng.uniformInt(side)));
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto width = static_cast<std::uint16_t>(1 + rng.uniformInt(16));
+    const auto driver = static_cast<ClusterId>(rng.uniformInt(n));
+    const std::size_t fanout =
+        rng.uniformInt(5) == 0 ? 6 + rng.uniformInt(18) : 1 + rng.uniformInt(4);
+    std::set<ClusterId> sinks;
+    for (std::size_t s = 0; s < fanout; ++s) {
+      const auto c = static_cast<ClusterId>(rng.uniformInt(n));
+      if (c != driver) sinks.insert(c);
+    }
+    if (!sinks.empty())
+      f.addNet(driver, {sinks.begin(), sinks.end()}, width);
+  }
+  return f;
+}
+
+/// Narrow multi-sink nets far apart on an empty device: every step costs
+/// exactly 1, so each sink has many least-cost paths and the tie rule
+/// alone picks the route.
+Fixture tieFixture() {
+  Fixture f;
+  const std::uint32_t origins[][2] = {{8, 8}, {50, 10}, {12, 52}, {55, 50}};
+  for (const auto& o : origins) {
+    const auto src = f.addClusterAt(o[0] + 6, o[1] + 6);
+    std::vector<ClusterId> sinks;
+    for (const std::uint32_t d : {0u, 3u, 9u, 12u})
+      sinks.push_back(f.addClusterAt(o[0] + d, o[1] + 12 - d));
+    sinks.push_back(f.addClusterAt(o[0] + 12, o[1] + 12));
+    sinks.push_back(f.addClusterAt(o[0], o[1]));
+    f.addNet(src, sinks, 1);
+  }
+  const auto a = f.addClusterAt(30, 70);
+  const auto b = f.addClusterAt(40, 80);
+  f.addNet(a, {b}, 1);
+  return f;
+}
+
+TEST(Router, GoldenRandomFixtures) {
+  struct Case {
+    std::uint64_t seed;
+    std::size_t n;
+    const char* digest;
+  };
+  const Case cases[] = {
+      {1, 24, "b5253e3e077f5f63"},  {1, 120, "b54e05f6d71ea926"},
+      {1, 360, "9b65f121ac175191"},  {7, 24, "fcf6540b3825e7f3"},
+      {7, 120, "978d6a2b16912eab"},  {7, 360, "99b33492ef82e0c7"},
+      {42, 24, "e82d53c7c88db951"}, {42, 120, "16e6c25eb7856a2b"},
+      {42, 360, "8fc0390fbf76e934"},
+  };
+  const Device dev = Device::xc7z020like();
+  RouterConfig cfg;
+  cfg.maxIterations = 8;
+  for (const Case& c : cases) {
+    const Fixture f = randomFixture(c.seed * 1000 + c.n, c.n);
+    const auto r = route(f.packing, f.placement, dev, cfg);
+    EXPECT_GT(r.iterationsRun, 1) << "seed " << c.seed << " n " << c.n;
+    EXPECT_EQ(routingDigest(r, dev), c.digest)
+        << "seed " << c.seed << " n " << c.n;
+  }
+}
+
+TEST(Router, GoldenEqualCostTies) {
+  const Fixture f = tieFixture();
+  const Device dev = Device::xc7z020like();
+  const auto r = route(f.packing, f.placement, dev, {});
+  EXPECT_EQ(r.iterationsRun, 1);
+  EXPECT_EQ(r.overflowTiles, 0u);
+  EXPECT_EQ(routingDigest(r, dev), "be0aa7e1a2d519dc");
+}
+
+TEST(Router, GoldenZeroMargin) {
+  const Device dev = Device::xc7z020like();
+  RouterConfig cfg;
+  cfg.maxIterations = 8;
+  cfg.bboxMargin = 0;
+  const Fixture ties = tieFixture();
+  EXPECT_EQ(routingDigest(route(ties.packing, ties.placement, dev, cfg), dev),
+            "be0aa7e1a2d519dc");
+  const Fixture dense = randomFixture(5120, 120);
+  EXPECT_EQ(routingDigest(route(dense.packing, dense.placement, dev, cfg), dev),
+            "560720043e734504");
 }
 
 TEST(Router, UtilizationAccountsCapacityBoost) {

@@ -119,6 +119,7 @@ class Router {
     tm::count(tm::Counter::RouterRipUps, ripUps_);
     tm::count(tm::Counter::RouterOverflowTiles, result.overflowTiles);
     tm::count(tm::Counter::RouterDirtyTiles, dirtyScanned_);
+    tm::count(tm::Counter::RouterTilesSettled, tilesSettled_);
     return result;
   }
 
@@ -244,6 +245,7 @@ class Router {
       const auto [d, ui] = heap_.back();
       heap_.pop_back();
       if (d > distAt(ui)) continue;
+      ++tilesSettled_;
       if (inTree_[ui]) {
         goal = ui;
         break;
@@ -317,6 +319,7 @@ class Router {
   std::vector<double> vHistory_, hHistory_;
   std::vector<std::vector<RouteStep>> routes_;
   std::uint64_t ripUps_ = 0;
+  std::uint64_t tilesSettled_ = 0;
 
   // Reused per-iteration / per-net / per-sink scratch (see routeNet).
   std::vector<std::size_t> work_;

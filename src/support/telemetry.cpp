@@ -31,6 +31,7 @@ const char* const kCounterNames[kNumCounters] = {
     "router_ripups",
     "router_overflow_tiles",
     "router_dirty_tiles",
+    "router_tiles_settled",
     "sta_arrival_propagations",
     "trace_cells_traced",
     "dataset_samples_extracted",

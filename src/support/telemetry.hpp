@@ -63,6 +63,7 @@ enum class Counter : std::size_t {
   RouterRipUps,
   RouterOverflowTiles,
   RouterDirtyTiles,     ///< tiles scanned by the dirty-tile overflow sweep
+  RouterTilesSettled,   ///< sink-search pops that passed the stale check
   StaArrivalPropagations,
   TraceCellsTraced,
   DatasetSamplesExtracted,

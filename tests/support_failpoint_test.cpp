@@ -217,13 +217,16 @@ TEST_F(FailpointTest, ScopedFailpointsRestoresThePreviousSpec) {
 
 // --- 3. CheckedFileWriter ----------------------------------------------------
 
-/// Fresh scratch directory; also the no-leftovers assertion all the failure
-/// tests share.
+/// Fresh scratch directory, one per test: ctest runs each test as its own
+/// process, concurrently under -j, so a shared directory would let one
+/// test's SetUp wipe or fill another's. Also the no-leftovers assertion all
+/// the failure tests share.
 class CheckedWriterTest : public FailpointTest {
  protected:
   void SetUp() override {
     FailpointTest::SetUp();
-    dir_ = std::string(::testing::TempDir()) + "checked_writer/";
+    dir_ = std::string(::testing::TempDir()) +
+           test::uniqueStem("checked_writer", "dir") + "/";
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

@@ -282,8 +282,12 @@ int run(int argc, char** argv) {
   // daemon (and is the only one a trafficless run ever writes).
   server.writeMetricsNow();
 
+  // Name the stream that died, as every exit-5 message names its path.
   if (!clean)
-    throw IoError("response stream failed mid-serve", "<stdout/socket>");
+    throw args.socketPath.empty()
+        ? IoError("write to <stdout> failed mid-serve", "<stdout>")
+        : IoError("accept on " + args.socketPath + " failed",
+                  args.socketPath);
   return 0;
 }
 

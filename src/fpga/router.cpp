@@ -9,10 +9,23 @@ namespace hcp::fpga {
 
 namespace {
 
+/// An inclusive tile rectangle: a net's search window, or the bounding box
+/// of its partial tree.
 struct Window {
   std::uint32_t x0, y0, x1, y1;
   bool contains(std::uint32_t x, std::uint32_t y) const {
     return x >= x0 && x <= x1 && y >= y0 && y <= y1;
+  }
+  /// Manhattan distance from (x, y) to the nearest tile of the rectangle.
+  std::uint32_t distance(std::uint32_t x, std::uint32_t y) const {
+    return (x < x0 ? x0 - x : x > x1 ? x - x1 : 0) +
+           (y < y0 ? y0 - y : y > y1 ? y - y1 : 0);
+  }
+  void extend(std::uint32_t x, std::uint32_t y) {
+    x0 = std::min(x0, x);
+    x1 = std::max(x1, x);
+    y0 = std::min(y0, y);
+    y1 = std::max(y1, y);
   }
   std::uint32_t w() const { return x1 - x0 + 1; }
   std::uint32_t h() const { return y1 - y0 + 1; }
@@ -179,18 +192,13 @@ class Router {
     });
 
     // Window: bbox of all terminals plus margin.
-    std::uint32_t x0 = src.x, x1 = src.x, y0 = src.y, y1 = src.y;
-    for (const TileXY& s : sinks_) {
-      x0 = std::min(x0, s.x);
-      x1 = std::max(x1, s.x);
-      y0 = std::min(y0, s.y);
-      y1 = std::max(y1, s.y);
-    }
+    Window box{src.x, src.y, src.x, src.y};
+    for (const TileXY& s : sinks_) box.extend(s.x, s.y);
     const auto m = static_cast<std::uint32_t>(config_.bboxMargin);
     Window win{
-        x0 > m ? x0 - m : 0, y0 > m ? y0 - m : 0,
-        std::min(device_.width() - 1, x1 + m),
-        std::min(device_.height() - 1, y1 + m)};
+        box.x0 > m ? box.x0 - m : 0, box.y0 > m ? box.y0 - m : 0,
+        std::min(device_.width() - 1, box.x1 + m),
+        std::min(device_.height() - 1, box.y1 + m)};
 
     // Search state is reused across sinks and nets: the arrays only ever
     // grow to the largest window seen, per-sink invalidation is one epoch
@@ -200,13 +208,14 @@ class Router {
     const std::size_t tiles = static_cast<std::size_t>(win.w()) * win.h();
     if (dist_.size() < tiles) {
       dist_.resize(tiles);
-      from_.resize(tiles);
       stamp_.resize(tiles, 0);
     }
 
-    // Tree membership per window tile (per-net, so a plain refill).
+    // Tree membership per window tile (per-net, so a plain refill), and the
+    // tree's bounding box, which the search's heuristic aims at.
     inTree_.assign(tiles, false);
     inTree_[win.idx(src.x, src.y)] = true;
+    tree_ = Window{src.x, src.y, src.x, src.y};
 
     for (const TileXY& sink : sinks_) {
       if (inTree_[win.idx(sink.x, sink.y)]) continue;
@@ -214,8 +223,25 @@ class Router {
     }
   }
 
-  /// A* from `sink` to the nearest tree tile; adds the path to the tree and
-  /// charges demand.
+  /// Connects `sink` to the partial tree by a least-cost path and charges
+  /// the path's demand. The search is A* with h = Manhattan distance to the
+  /// tree's bounding box, and it returns exactly the path a Dijkstra search
+  /// from the sink would (DESIGN.md §15):
+  ///   - h is integral and changes by at most 1 per step, while every step
+  ///     costs at least 1, so h is consistent, and every tile with
+  ///     dist + h <= the best tree-hit cost is settled with its Dijkstra
+  ///     dist once the queue's least f exceeds that cost. A double sum can
+  ///     grow by a little less than 1 per step, since each addition rounds,
+  ///     so the stop bound carries a relative slack of 2^-20, far above
+  ///     that loss over any path a window holds;
+  ///   - the goal is the tree tile least in (dist, window index), the one
+  ///     Dijkstra pops first; tree tiles are never expanded;
+  ///   - each path tile's predecessor is its neighbour least in
+  ///     (dist, index) among those whose dist plus step cost is its dist
+  ///     exactly, the one whose relaxation Dijkstra kept (such a neighbour
+  ///     is a settled non-tree tile);
+  ///   - step costs read the demand, so it is charged only once the whole
+  ///     path is known.
   void connectSink(std::size_t n, TileXY sink, const Window& win,
                    double presentFactor) {
     const double width = packing_.nets[n].width;
@@ -224,92 +250,114 @@ class Router {
       return stamp_[i] == epoch_ ? dist_[i]
                                  : std::numeric_limits<double>::infinity();
     };
+    const auto h = [&](std::uint32_t x, std::uint32_t y) {
+      return static_cast<double>(tree_.distance(x, y));
+    };
 
-    // Min-heap via push_heap/pop_heap on a reused vector — the exact
-    // algorithm std::priority_queue runs, so pop order (ties included) is
-    // identical; unlike priority_queue the storage survives clear().
-    using QE = std::pair<double, std::uint32_t>;  // (cost, window index)
+    // Min-heap of (f = dist + h, window index) via push_heap/pop_heap on a
+    // reused vector, whose storage survives clear().
+    using QE = std::pair<double, std::uint32_t>;
     heap_.clear();
-    const auto push = [&](double c, std::uint32_t i) {
-      heap_.emplace_back(c, i);
+    const auto push = [&](double f, std::uint32_t i) {
+      heap_.emplace_back(f, i);
       std::push_heap(heap_.begin(), heap_.end(), std::greater<QE>{});
     };
     const std::size_t start = win.idx(sink.x, sink.y);
     dist_[start] = 0.0;
     stamp_[start] = epoch_;
-    push(0.0, static_cast<std::uint32_t>(start));
+    push(h(sink.x, sink.y), static_cast<std::uint32_t>(start));
 
+    double best = std::numeric_limits<double>::infinity();
     std::size_t goal = std::numeric_limits<std::size_t>::max();
-    while (!heap_.empty()) {
+    while (!heap_.empty() && heap_.front().first <= best * kStopSlack) {
       std::pop_heap(heap_.begin(), heap_.end(), std::greater<QE>{});
-      const auto [d, ui] = heap_.back();
+      const auto [f, ui] = heap_.back();
       heap_.pop_back();
-      if (d > distAt(ui)) continue;
-      ++tilesSettled_;
-      if (inTree_[ui]) {
-        goal = ui;
-        break;
-      }
       const std::uint32_t ux = win.x0 + ui % win.w();
       const std::uint32_t uy = win.y0 + ui / win.w();
-      struct Dir {
-        std::int32_t dx, dy;
-        std::int8_t code;
-        bool vertical;
-      };
-      static constexpr Dir dirs[4] = {
-          {-1, 0, 0, false}, {1, 0, 1, false}, {0, -1, 2, true},
-          {0, 1, 3, true}};
-      for (const Dir& dir : dirs) {
+      const double d = dist_[ui];
+      if (f > d + h(ux, uy)) continue;  // stale: dist fell since the push
+      ++tilesSettled_;
+      // A step from u consumes u's channel in the step's orientation.
+      const double costH = stepCost(ux, uy, false, width, presentFactor);
+      const double costV = stepCost(ux, uy, true, width, presentFactor);
+      for (const Dir& dir : kDirs) {
         const std::int64_t nx = static_cast<std::int64_t>(ux) + dir.dx;
         const std::int64_t ny = static_cast<std::int64_t>(uy) + dir.dy;
         if (nx < win.x0 || ny < win.y0 || nx > win.x1 || ny > win.y1)
           continue;
-        // Charge the channel of the tile being *left* — a step from u to v
-        // consumes u's channel segment in that orientation.
-        const double c =
-            d + stepCost(ux, uy, dir.vertical, width, presentFactor);
-        const std::size_t vi =
-            win.idx(static_cast<std::uint32_t>(nx),
-                    static_cast<std::uint32_t>(ny));
-        if (c < distAt(vi)) {
-          dist_[vi] = c;
-          stamp_[vi] = epoch_;
-          from_[vi] = dir.code;
-          push(c, static_cast<std::uint32_t>(vi));
+        const auto vx = static_cast<std::uint32_t>(nx);
+        const auto vy = static_cast<std::uint32_t>(ny);
+        const std::size_t vi = win.idx(vx, vy);
+        const double c = d + (dir.vertical ? costV : costH);
+        if (c >= distAt(vi)) continue;
+        dist_[vi] = c;
+        stamp_[vi] = epoch_;
+        if (!inTree_[vi]) {
+          push(c + h(vx, vy), static_cast<std::uint32_t>(vi));
+        } else if (c < best || (c == best && vi < goal)) {
+          best = c;
+          goal = vi;
         }
       }
     }
     HCP_CHECK_MSG(goal != std::numeric_limits<std::size_t>::max(),
                   "router: sink unreachable (window too small?)");
 
-    // Walk back from the tree hit to the sink, marking tree tiles and
-    // charging demand. The path was searched sink->tree, so we retrace using
-    // the arrival directions.
+    // Walk back from the tree hit to the sink, recording each step; the
+    // step p -> cur consumes the channel at p. A tree tile never qualifies
+    // as p: p's dist is below cur's, hence below the goal's, and the goal's
+    // is the least of any tree tile reached.
+    const std::size_t first = routes_[n].size();
     std::size_t cur = goal;
     while (cur != start) {
-      inTree_[cur] = true;
       const std::uint32_t cx = win.x0 + cur % win.w();
       const std::uint32_t cy = win.y0 + cur / win.w();
-      const std::int8_t code = from_[cur];
-      // Invert the step to find the predecessor (closer to the sink).
-      std::uint32_t px = cx, py = cy;
-      bool vertical = false;
-      switch (code) {
-        case 0: px = cx + 1; vertical = false; break;  // arrived going west
-        case 1: px = cx - 1; vertical = false; break;
-        case 2: py = cy + 1; vertical = true; break;
-        case 3: py = cy - 1; vertical = true; break;
-        default: HCP_CHECK_MSG(false, "router: broken backtrace");
+      std::size_t pred = std::numeric_limits<std::size_t>::max();
+      double predDist = std::numeric_limits<double>::infinity();
+      RouteStep step;
+      for (const Dir& dir : kDirs) {
+        const std::int64_t px = static_cast<std::int64_t>(cx) - dir.dx;
+        const std::int64_t py = static_cast<std::int64_t>(cy) - dir.dy;
+        if (px < win.x0 || py < win.y0 || px > win.x1 || py > win.y1)
+          continue;
+        const RouteStep s{static_cast<std::uint32_t>(px),
+                          static_cast<std::uint32_t>(py), dir.vertical};
+        const std::size_t pi = win.idx(s.x, s.y);
+        const double pd = distAt(pi);
+        if (pd > predDist || (pd == predDist && pi > pred) ||
+            pd + stepCost(s.x, s.y, s.vertical, width, presentFactor) !=
+                dist_[cur])
+          continue;
+        pred = pi;
+        predDist = pd;
+        step = s;
       }
-      // The step px/py -> cx/cy consumed the channel at (px, py).
-      routes_[n].push_back(RouteStep{px, py, vertical});
-      if (vertical) map_.addVertical(px, py, packing_.nets[n].width);
-      else map_.addHorizontal(px, py, packing_.nets[n].width);
-      cur = win.idx(px, py);
+      HCP_CHECK_MSG(pred != std::numeric_limits<std::size_t>::max(),
+                    "router: broken backtrace");
+      routes_[n].push_back(step);
+      cur = pred;
     }
-    inTree_[start] = true;
+    for (std::size_t k = first; k < routes_[n].size(); ++k) {
+      const RouteStep& s = routes_[n][k];
+      inTree_[win.idx(s.x, s.y)] = true;
+      tree_.extend(s.x, s.y);
+      if (s.vertical) map_.addVertical(s.x, s.y, width);
+      else map_.addHorizontal(s.x, s.y, width);
+    }
   }
+
+  struct Dir {
+    std::int32_t dx, dy;
+    bool vertical;
+  };
+  static constexpr Dir kDirs[4] = {
+      {-1, 0, false}, {1, 0, false}, {0, -1, true}, {0, 1, true}};
+  /// The exactness argument walks at most 2N + 1 steps in a window of N
+  /// tiles, and each addition may lose up to 2^-53 of the running sum, so
+  /// the loss stays below 2^-20 of the best cost while N < 2^31
+  /// (DESIGN.md §15).
+  static constexpr double kStopSlack = 1.0 + 0x1p-20;
 
   const Packing& packing_;
   const Placement& placement_;
@@ -325,8 +373,8 @@ class Router {
   std::vector<std::size_t> work_;
   std::vector<TileXY> sinks_;
   std::vector<bool> inTree_;
+  Window tree_{};  // bounding box of the net's partial tree
   std::vector<double> dist_;
-  std::vector<std::int8_t> from_;  // 0=W,1=E,2=S,3=N arrival dir
   std::vector<std::uint64_t> stamp_;
   std::uint64_t epoch_ = 0;
   std::vector<std::pair<double, std::uint32_t>> heap_;

@@ -2,8 +2,11 @@
 //
 // Nets are routed on the tile grid: each horizontal/vertical step through a
 // tile consumes that tile's H/V channel capacity, weighted by the net's bit
-// width. Multi-terminal nets grow a Steiner-ish tree (each sink connects to
-// the nearest point of the partial tree via A*). Congestion is negotiated
+// width. Multi-terminal nets grow a Steiner-ish tree: each sink connects to
+// the nearest point of the partial tree by an A* search whose heuristic is
+// the Manhattan distance to the tree's bounding box, with stop, goal and
+// backtrace rules that return exactly the path (ties included) a Dijkstra
+// search would (DESIGN.md §15). Congestion is negotiated
 // over several iterations: overflowing nets are ripped up and rerouted with
 // rising present-congestion penalties and accumulated history costs, so
 // demand spreads around hotspots exactly as a real router detours — which is
@@ -13,15 +16,15 @@
 // estimator (net demand smeared over its bounding box, split V/H by aspect
 // ratio), used as the fast baseline in the ablation bench.
 //
-// Hot-path structure: the per-sink A* state (dist/backtrace/open list) is
+// Hot-path structure: the per-sink A* state (dist/open list) is
 // epoch-stamped and reused across sinks and nets instead of being
 // reallocated per sink, and the per-iteration overflow/history sweep visits
 // only the dirty tiles touched by that iteration's rip-up/reroute work
 // (every tile that can be overflowed is dirty by construction — see
 // DESIGN.md §15), falling back to the whole grid when the work set is
-// large. Both are bit-identical to the straightforward forms: golden
-// routing digests, written while a full-grid reference sweep still existed
-// and was asserted equal, pin the output.
+// large. These and the A* search are bit-identical to the straightforward
+// forms: golden routing digests, written while a full-grid reference sweep
+// and a Dijkstra sink search still ran, pin the output.
 #pragma once
 
 #include <cstdint>

@@ -177,7 +177,7 @@ std::vector<CmpRow> byteIdentitySweep(const ml::shards::ShardSet& set) {
 }
 
 int runBench(int argc, char** argv) {
-  return bench::runBenchMain("dataset_streaming", argc, argv, [&](auto&) {
+  return bench::runBenchMain("dataset_streaming", argc, argv, [&] {
     const auto device = fpga::Device::xc7z020like();
 
     std::fprintf(stderr, "[dataset] building 1x and %zux shard corpora...\n",
@@ -285,7 +285,7 @@ int runBench(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   // Child phase mode: do the work, exit. No session, no artifacts — the
-  // parent owns all reporting and the exit-code mapping below mirrors it.
+  // parent owns all reporting; only the exit-code mapping is shared.
   std::string phase, phaseDir;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--phase=", 8) == 0) phase = argv[i] + 8;
@@ -293,13 +293,10 @@ int main(int argc, char** argv) {
       phaseDir = argv[i] + 12;
   }
   if (!phase.empty()) {
-    try {
+    return support::process::exitCodeOf("dataset_streaming phase", [&] {
       runPhase(phase, phaseDir);
       return 0;
-    } catch (const hcp::Error& e) {
-      std::fprintf(stderr, "dataset_streaming phase: %s\n", e.what());
-      return 1;
-    }
+    });
   }
   return runBench(argc, argv);
 }

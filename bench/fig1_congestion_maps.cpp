@@ -9,7 +9,7 @@ using namespace hcp;
 namespace {
 
 /// The bench body; session plumbing lives in runBenchMain.
-void runBench(hcp::bench::BenchSession&) {
+void runBench() {
   const auto device = fpga::Device::xc7z020like();
   core::FlowConfig cfg;
   cfg.seed = bench::kSeed;

@@ -10,7 +10,7 @@ using namespace hcp;
 namespace {
 
 /// The bench body; session plumbing lives in runBenchMain.
-void runBench(hcp::bench::BenchSession&) {
+void runBench() {
   // A chain of sequential multipliers: left-edge binding folds them onto a
   // few shared units.
   auto mod = std::make_unique<ir::Module>("fig4");

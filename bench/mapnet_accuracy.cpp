@@ -74,7 +74,7 @@ DesignScore score(const std::string& design, const ml::MapSample& truth,
   return s;
 }
 
-void runBench(hcp::bench::BenchSession& session) {
+void runBench() {
   const auto device = fpga::Device::xc7z020like();
   const std::vector<core::FlowResult> flows =
       hcp::bench::runBenchmarkSuite(device);
@@ -135,7 +135,7 @@ void runBench(hcp::bench::BenchSession& session) {
   support::txt::CheckedFileWriter writer("BENCH_mapnet.json", "benchout");
   auto& json = writer.stream();
   support::txt::preparePrecision(json);
-  json << "{\n  \"threads\": " << session.threads()
+  json << "{\n  \"threads\": " << support::threadLimit()
        << ",\n  \"protocol\": \"leave-one-design-out\",\n  \"models\": [\n";
   for (std::size_t m = 0; m < results.size(); ++m) {
     const TopologyResult& r = results[m];

@@ -11,7 +11,7 @@ using features::FeatureRegistry;
 namespace {
 
 /// The bench body; session plumbing lives in runBenchMain.
-void runBench(hcp::bench::BenchSession&) {
+void runBench() {
   const auto& reg = FeatureRegistry::instance();
   const auto counts = reg.categoryCounts();
 

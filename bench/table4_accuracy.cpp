@@ -14,6 +14,7 @@
 #include "ml/metrics.hpp"
 #include "ml/mlp.hpp"
 #include "ml/validation.hpp"
+#include "support/env.hpp"
 
 using namespace hcp;
 
@@ -95,7 +96,7 @@ Scores evalGbrt(const ml::Dataset& data) {
 namespace {
 
 /// The bench body; session plumbing lives in runBenchMain.
-void runBench(hcp::bench::BenchSession&) {
+void runBench() {
   const auto device = fpga::Device::xc7z020like();
   const auto flows = bench::runBenchmarkSuite(device);
 

@@ -47,7 +47,7 @@ std::vector<std::pair<double, Category>> categoryImportance(
 namespace {
 
 /// The bench body; session plumbing lives in runBenchMain.
-void runBench(hcp::bench::BenchSession&) {
+void runBench() {
   const auto device = fpga::Device::xc7z020like();
   const auto flows = bench::runBenchmarkSuite(device);
   const auto data = core::buildDataset(flows, {});

@@ -250,7 +250,12 @@ bool autoFlush() {
   return true;
 }
 
-void arm() {
+std::string initTraceFromArgs(int argc, char** argv) {
+  std::string path = telemetry::detail::flagValueOrDie(argc, argv, "trace");
+  if (path.empty()) {
+    if (const char* env = std::getenv("HCP_TRACE")) path = env;
+  }
+  if (path.empty()) return path;
   // 0 = unset/empty (keep the default capacity); anything malformed exits 2.
   const std::uint64_t cap = env::u64OrDie(
       "HCP_TRACE_BUFFER_EVENTS", 2,
@@ -258,14 +263,6 @@ void arm() {
   if (cap != 0) setBufferCapacity(static_cast<std::size_t>(cap));
   telemetry::setEnabled(true);  // spans must be live for events to exist
   setEnabled(true);
-}
-
-std::string initTraceFromArgs(int argc, char** argv) {
-  std::string path = telemetry::detail::flagValueOrDie(argc, argv, "trace");
-  if (path.empty()) {
-    if (const char* env = std::getenv("HCP_TRACE")) path = env;
-  }
-  if (!path.empty()) arm();
   return path;
 }
 

@@ -90,15 +90,11 @@ void configureAutoFlush(std::string path, TraceMeta meta);
 /// contract as writeChromeTrace.
 bool autoFlush();
 
-/// Applies HCP_TRACE_BUFFER_EVENTS (exit 2 when malformed) and enables
-/// tracing plus telemetry collection — spans must be live for events to
-/// exist. Called by initTraceFromArgs once a destination is known; exposed
-/// for drivers that parse `--trace` themselves (hcp_cli).
-void arm();
-
 /// Resolves the trace destination: `--trace <path>` / `--trace=<path>` on
 /// the command line, else the HCP_TRACE environment variable. When a path
-/// is found, calls arm(). Returns the path ("" = tracing off). A trailing
+/// is found, applies HCP_TRACE_BUFFER_EVENTS (exit 2 when malformed) and
+/// enables tracing plus telemetry collection — spans must be live for
+/// events to exist. Returns the path ("" = tracing off). A trailing
 /// `--trace` with no value or an empty `--trace=` is a usage error: message
 /// to stderr, exit code 2.
 std::string initTraceFromArgs(int argc, char** argv);

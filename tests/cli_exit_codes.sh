@@ -9,38 +9,20 @@
 #   - usage errors exit 2: a non-numeric --seed, an unknown flag, --report
 #     without a value, an empty --trace=, and a --topology other than
 #     tilelinear|conv;
+#   - integer flags are strict: a signed, space-padded or negative --seed,
+#     --threads or --epochs exits 2;
 #   - a truncated model exits 1;
 #   - a malformed HCP_THREADS (garbage, 4abc, 0) exits 2, even for a
 #     subcommand that never threads, while an empty one means the default;
 #   - a reader hanging up is exit 0 or 5, never a signal death, and a write
-#     to a full stdout exits 5 with the stream named <stdout>.
+#     to a full stdout exits 5 with the stream named <stdout>;
+#   - injected artifact failures exit 5 and leave no file: a model write
+#     (the error names the model), a report rename and a trace open; a
+#     malformed failpoint spec exits 2.
 set -u
-abspath() { echo "$(cd "$(dirname "$1")" && pwd)/$(basename "$1")"; }
+. "$(dirname "$0")/lib.sh"
 cli=$(abspath "$1")
-work=$(mktemp -d)
-trap 'rm -rf "$work"' EXIT
-cd "$work"
-
-fail() {
-  echo "FAIL: $*"
-  cat err.txt 2> /dev/null
-  exit 1
-}
-# run LOG CMD...: runs CMD with both streams in LOG and requires exit 0.
-run() {
-  log=$1
-  shift
-  "$@" > "$log" 2>&1 || { cat "$log"; fail "$*"; }
-}
-# expect_exit CODE CMD...: runs CMD with stderr in err.txt and requires CODE.
-expect_exit() {
-  want=$1
-  shift
-  "$@" > /dev/null 2> err.txt
-  got=$?
-  [ "$got" -eq "$want" ] || fail "exit $got, want $want: $*"
-}
-need() { grep -q "$1" "$2" || fail "no '$1' in $2"; }
+enter_work_dir
 
 # A flow run report.
 run flow.log "$cli" flow face_detection --report report.json
@@ -56,6 +38,14 @@ expect_exit 2 "$cli" flow face_detection --trace=
 expect_exit 2 "$cli" train-map m.hcp spam_filter --topology lattice
 need 'topology' err.txt
 [ ! -e m.hcp ] || fail "rejected train-map wrote m.hcp"
+
+# Integer flags are strict: no sign, no padding, no wrap to 2^64-1.
+expect_exit 2 "$cli" dump-ir spam_filter --seed -1
+expect_exit 2 "$cli" dump-ir spam_filter --seed +7
+expect_exit 2 "$cli" dump-ir spam_filter --seed ' 7'
+expect_exit 2 "$cli" dump-ir spam_filter --threads -1
+expect_exit 2 "$cli" dump-ir spam_filter --epochs -1
+
 run train.log "$cli" train model.hcp spam_filter
 head -c 100 model.hcp > truncated.hcp
 expect_exit 1 "$cli" predict truncated.hcp face_detection
@@ -74,5 +64,19 @@ code=$(cat code.txt)
 code=$?
 [ "$code" -eq 5 ] || fail "flow into /dev/full: exit $code"
 need '<stdout>' err.txt
-echo "reports, usage errors, corrupt models, thread counts and dead" \
-  "streams exit as the contract says"
+
+# Injected artifact failures: exit 5, the path named, no partial file.
+expect_exit 5 env HCP_FAILPOINTS=model.write:1 "$cli" train lost.hcp \
+  digit_recognition --seed 7
+need 'artifact write error' err.txt
+need 'lost.hcp' err.txt
+[ -z "$(ls lost.hcp* 2> /dev/null)" ] || fail "partial model left behind"
+expect_exit 5 "$cli" flow face_detection --report rep.json \
+  --failpoints report.rename:1
+[ -z "$(ls rep.json* 2> /dev/null)" ] || fail "partial report left behind"
+expect_exit 5 "$cli" flow face_detection --trace tr.json \
+  --failpoints trace.open:1
+[ -z "$(ls tr.json* 2> /dev/null)" ] || fail "partial trace left behind"
+expect_exit 2 "$cli" flow face_detection --failpoints 'bogus spec'
+echo "reports, usage errors, corrupt models, thread counts, dead streams" \
+  "and injected artifact failures exit as the contract says"

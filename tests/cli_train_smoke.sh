@@ -7,11 +7,9 @@
 # --threads 2 with a run report (telemetry on); the two model files must
 # match byte for byte, and the second must load and predict another design.
 set -eu
-abspath() { echo "$(cd "$(dirname "$1")" && pwd)/$(basename "$1")"; }
+. "$(dirname "$0")/lib.sh"
 cli=$(abspath "$1")
-work=$(mktemp -d)
-trap 'rm -rf "$work"' EXIT
-cd "$work"
+enter_work_dir
 
 HCP_THREADS=1 "$cli" train serial.hcp spam_filter > train.log 2>&1 ||
   { cat train.log; exit 1; }

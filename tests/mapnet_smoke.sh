@@ -18,33 +18,11 @@
 #     leave-one-design-out and exits 1 unless conv's mean held-out hotspot
 #     IoU beats tilelinear's.
 set -u
-abspath() { echo "$(cd "$(dirname "$1")" && pwd)/$(basename "$1")"; }
+. "$(dirname "$0")/lib.sh"
 cli=$(abspath "$1")
 serve=$(abspath "$2")
 bench=$(abspath "$3")
-work=$(mktemp -d)
-trap 'rm -rf "$work"' EXIT
-cd "$work"
-
-fail() {
-  echo "FAIL: $*"
-  cat err.txt 2> /dev/null
-  exit 1
-}
-# run LOG CMD...: runs CMD with both streams in LOG and requires exit 0.
-run() {
-  log=$1
-  shift
-  "$@" > "$log" 2>&1 || { cat "$log"; fail "$*"; }
-}
-# expect_exit CODE CMD...: runs CMD with stderr in err.txt and requires CODE.
-expect_exit() {
-  want=$1
-  shift
-  "$@" > /dev/null 2> err.txt
-  got=$?
-  [ "$got" -eq "$want" ] || fail "exit $got, want $want: $*"
-}
+enter_work_dir
 
 # Thread-count invariance of the model, its report counters and its maps.
 for t in 1 2; do

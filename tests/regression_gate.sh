@@ -15,32 +15,10 @@
 #   - the gate itself rejects a report with one counter perturbed (exit 1),
 #     a malformed report (exit 4) and a missing argument (exit 2).
 set -u
-abspath() { echo "$(cd "$(dirname "$1")" && pwd)/$(basename "$1")"; }
+. "$(dirname "$0")/lib.sh"
 cli=$(abspath "$1")
 baseline=$(abspath "$2")
-work=$(mktemp -d)
-trap 'rm -rf "$work"' EXIT
-cd "$work"
-
-fail() {
-  echo "FAIL: $*"
-  cat err.txt 2> /dev/null
-  exit 1
-}
-# run LOG CMD...: runs CMD with both streams in LOG and requires exit 0.
-run() {
-  log=$1
-  shift
-  "$@" > "$log" 2>&1 || { cat "$log"; fail "$*"; }
-}
-# expect_exit CODE CMD...: runs CMD with stderr in err.txt and requires CODE.
-expect_exit() {
-  want=$1
-  shift
-  "$@" > /dev/null 2> err.txt
-  got=$?
-  [ "$got" -eq "$want" ] || fail "exit $got, want $want: $*"
-}
+enter_work_dir
 
 run train.log "$cli" train model.hcp digit_recognition --seed 7 --threads 2 \
   --report report.json --trace trace.json

@@ -7,28 +7,13 @@
 #   - an unknown flag exits 2;
 #   - a model that cannot be loaded exits 1;
 #   - a response written to a full stdout exits 5 with the stream named
-#     <stdout>, as hcp_cli's exit-5 messages name theirs.
+#     <stdout>, as hcp_cli's exit-5 messages name theirs;
+#   - an injected report rename failure exits 5 and leaves no report file;
+#   - a dead response stream still leaves the requested run report.
 set -u
-abspath() { echo "$(cd "$(dirname "$1")" && pwd)/$(basename "$1")"; }
+. "$(dirname "$0")/lib.sh"
 serve=$(abspath "$1")
-work=$(mktemp -d)
-trap 'rm -rf "$work"' EXIT
-cd "$work"
-
-fail() {
-  echo "FAIL: $*"
-  cat err.txt 2> /dev/null
-  exit 1
-}
-# expect_exit CODE CMD...: runs CMD on an empty stdin with stderr in
-# err.txt and requires CODE.
-expect_exit() {
-  want=$1
-  shift
-  "$@" < /dev/null > /dev/null 2> err.txt
-  got=$?
-  [ "$got" -eq "$want" ] || fail "exit $got, want $want: $*"
-}
+enter_work_dir
 
 expect_exit 2 "$serve" --bogus-flag
 expect_exit 1 "$serve" --model missing.hcp
@@ -37,5 +22,12 @@ printf '{"op":"status"}\n' | "$serve" > /dev/full 2> err.txt
 code=$?
 [ "$code" -eq 5 ] || fail "status into /dev/full: exit $code"
 grep -q '<stdout>' err.txt || fail "no '<stdout>' in the exit-5 message"
-echo "usage errors, unloadable models and dead streams exit as the" \
-  "contract says"
+
+expect_exit 5 "$serve" --report r.json --failpoints report.rename:1
+[ -z "$(ls r.json* 2> /dev/null)" ] || fail "partial report left behind"
+printf '{"op":"status"}\n' | "$serve" --report r.json > /dev/full 2> err.txt
+code=$?
+[ "$code" -eq 5 ] || fail "status into /dev/full with a report: exit $code"
+[ -s r.json ] || fail "a dead response stream lost the run report"
+echo "usage errors, unloadable models, dead streams and injected report" \
+  "failures exit as the contract says"

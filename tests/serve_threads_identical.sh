@@ -10,12 +10,10 @@
 # The face_detection predict asks for top_k 3 while eight regions tie on
 # their mean, so it also pins the tie order: (function, line) ascending.
 set -eu
-abspath() { echo "$(cd "$(dirname "$1")" && pwd)/$(basename "$1")"; }
+. "$(dirname "$0")/lib.sh"
 cli=$(abspath "$1")
 serve=$(abspath "$2")
-work=$(mktemp -d)
-trap 'rm -rf "$work"' EXIT
-cd "$work"
+enter_work_dir
 
 "$cli" train model.hcp spam_filter --seed 7 --threads 2 > train.log 2>&1 ||
   { cat train.log; exit 1; }

@@ -14,29 +14,9 @@
 #   - an injected shard.read fault is exit 1 and a malformed failpoint spec
 #     is exit 2.
 set -u
-abspath() { echo "$(cd "$(dirname "$1")" && pwd)/$(basename "$1")"; }
+. "$(dirname "$0")/lib.sh"
 cli=$(abspath "$1")
-work=$(mktemp -d)
-trap 'rm -rf "$work"' EXIT
-cd "$work"
-
-fail() {
-  echo "FAIL: $*"
-  cat err.txt 2> /dev/null
-  exit 1
-}
-# expect_exit CODE CMD...: runs CMD with stderr in err.txt and requires CODE.
-expect_exit() {
-  want=$1
-  shift
-  "$@" > /dev/null 2> err.txt
-  got=$?
-  [ "$got" -eq "$want" ] || fail "exit $got, want $want: $*"
-}
-# no_files DIR: DIR is missing or empty.
-no_files() {
-  [ -z "$(ls "$1" 2> /dev/null)" ] || { ls "$1"; fail "files left in $1"; }
-}
+enter_work_dir
 
 "$cli" shard spam_filter --seed 7 --shard-dir shards > shard.log 2>&1 ||
   { cat shard.log; exit 1; }

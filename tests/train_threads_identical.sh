@@ -8,11 +8,9 @@
 # HCP_SHARDS (the env fallback for --shard-dir) must train the same default
 # model as the flag, and the model it writes must load and predict.
 set -eu
-abspath() { echo "$(cd "$(dirname "$1")" && pwd)/$(basename "$1")"; }
+. "$(dirname "$0")/lib.sh"
 cli=$(abspath "$1")
-work=$(mktemp -d)
-trap 'rm -rf "$work"' EXIT
-cd "$work"
+enter_work_dir
 
 "$cli" shard spam_filter digit_recognition face_detection --seed 7 \
   --shard-dir shards > shard.log 2>&1 || { cat shard.log; exit 1; }

@@ -37,19 +37,11 @@
 //       observation count must match exactly. --bench-out writes a
 //       machine-readable summary.
 //
-// Common options:
+// Options (hcp_cli's own; --threads, --report, --trace, --cache and
+// --failpoints, their HCP_* fallbacks and the exit codes are the process
+// contract every hcp binary shares — README "Process contract", DESIGN.md
+// §14):
 //   --seed N          master seed for the stochastic stages (default 42)
-//   --threads N       cap the thread pool (default: HCP_THREADS or all cores)
-//   --report FILE     write a JSON run report (spans, counters, histograms,
-//                     metadata); HCP_REPORT is the fallback
-//   --trace FILE      write a Chrome trace-event timeline (open in
-//                     chrome://tracing or https://ui.perfetto.dev);
-//                     HCP_TRACE is the fallback
-//   --cache DIR       memoize flow results on disk (content-addressed; see
-//                     README "Flow cache"); HCP_CACHE is the fallback
-//   --failpoints SPEC arm named fault-injection sites, e.g.
-//                     flowcache.store:1 or model.rename (see README "Fault
-//                     injection"); HCP_FAILPOINTS is the fallback
 //   --no-directives   synthesize without the paper's pragma set
 //   --model KIND      predictor kind for `train`: gbrt (default), ann, linear
 //   --shard-dir DIR   dataset shard directory for `shard` and
@@ -59,12 +51,10 @@
 //   --epochs N        SGD epochs for `train-map` (default 40)
 //   --map-out FILE    where `predict-map` writes the map artifact
 //
-// Exit codes: 0 success, 1 flow/model error (hcp::Error) or compare-reports
-// regression, 2 usage error, 3 unexpected internal error (any other
-// std::exception), 4 compare-reports malformed input / schema mismatch,
-// 5 a requested artifact (model save, --report, --trace, CSV, --bench-out)
-// could not be written (hcp::IoError; the message names the path — no
-// partial file is left behind).
+// `list` and `compare-reports` inspect rather than run: they take no
+// --threads, --report, --trace or --cache. On top of the shared exit codes,
+// compare-reports exits 1 on a regression and 4 on malformed input or a
+// schema mismatch.
 //
 // <design> is one of: face_detection, face_detection_noinline,
 // face_detection_replicated, digit_recognition, spam_filter, digit_spam,
@@ -88,13 +78,9 @@
 #include "ir/printer.hpp"
 #include "rtl/verilog.hpp"
 #include "support/env.hpp"
-#include "support/failpoint.hpp"
-#include "support/flowcache.hpp"
 #include "support/parallel.hpp"
+#include "support/process.hpp"
 #include "support/report_diff.hpp"
-#include "support/signals.hpp"
-#include "support/telemetry.hpp"
-#include "support/tracing.hpp"
 
 using namespace hcp;
 
@@ -137,16 +123,16 @@ int checkStdout() {
   return 0;
 }
 
-/// Strict unsigned parse for flag values: the whole token must be digits.
-/// `--seed abc` or `--threads 4x` is a usage error, not silently zero.
-std::uint64_t parseUint(const char* flag, const char* text) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE)
-    usageError(std::string(flag) + " expects a non-negative integer, got '" +
-               text + "'");
-  return static_cast<std::uint64_t>(v);
+/// Strict parse for integer flags (support/env.hpp): the whole token must be
+/// digits, so `--seed abc`, `--seed -1` or `--seed +7` is a usage error,
+/// not a silent zero or a value wrapped to 2^64-1.
+std::uint64_t parseCount(const std::string& flag, const std::string& text,
+                         std::uint64_t minValue) {
+  const auto n = support::env::parseU64(text);
+  if (!n || *n < minValue)
+    usageError(flag + " expects an integer >= " + std::to_string(minValue) +
+               ", got '" + text + "'");
+  return *n;
 }
 
 struct Args {
@@ -157,88 +143,54 @@ struct Args {
   std::string topology = "conv";
   std::uint64_t epochs = 40;
   std::string mapOut;       ///< empty = predict-map prints only
-  std::size_t threads = 0;  ///< 0 = leave the default limit in place
-  std::string report;       ///< empty = no run report
-  std::string trace;        ///< empty = no trace timeline
-  std::string cache;        ///< empty = flow caching off
   std::string shardDir;     ///< dataset shard directory (HCP_SHARDS fallback)
   bool fromShards = false;  ///< `train --from-shards`
 };
 
-Args parse(int argc, char** argv, int first) {
+/// Parses `argv[1..]` (argv[0] is the command), the arguments the process
+/// shell left after taking out its own flags.
+Args parse(const std::vector<std::string>& argv) {
   Args args;
-  auto value = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) usageError(std::string(flag) + " expects a value");
+  auto value = [&](std::size_t& i) -> const std::string& {
+    if (i + 1 >= argv.size()) usageError(argv[i] + " expects a value");
     return argv[++i];
   };
-  auto nonEmpty = [&](int& i, const char* flag) -> const char* {
-    const char* v = value(i, flag);
-    if (*v == '\0') usageError(std::string(flag) + " expects a non-empty value");
+  auto nonEmpty = [&](std::size_t& i) -> const std::string& {
+    const std::string& flag = argv[i];
+    const std::string& v = value(i);
+    if (v.empty()) usageError(flag + " expects a non-empty value");
     return v;
   };
-  // `--flag V` or `--flag=V` into `out`, non-empty either way; false when
-  // `a` is neither form of `flag`.
-  auto pathFlag = [&](int& i, const std::string& a, const std::string& flag,
-                      std::string& out) {
-    if (a == flag) {
-      out = nonEmpty(i, flag.c_str());
-    } else if (a.rfind(flag + "=", 0) == 0) {
-      out = a.substr(flag.size() + 1);
-      if (out.empty()) usageError(flag + " expects a non-empty value");
-    } else {
-      return false;
-    }
-    return true;
-  };
-  for (int i = first; i < argc; ++i) {
-    const std::string a = argv[i];
+  for (std::size_t i = 1; i < argv.size(); ++i) {
+    const std::string& a = argv[i];
     if (a == "--seed") {
-      args.seed = parseUint("--seed", value(i, "--seed"));
-    } else if (a == "--threads") {
-      args.threads =
-          static_cast<std::size_t>(parseUint("--threads", value(i, "--threads")));
-      if (args.threads == 0) usageError("--threads expects N >= 1");
-    } else if (pathFlag(i, a, "--report", args.report) ||
-               pathFlag(i, a, "--trace", args.trace) ||
-               pathFlag(i, a, "--cache", args.cache) ||
-               pathFlag(i, a, "--shard-dir", args.shardDir)) {
-      // Stored by pathFlag.
+      args.seed = parseCount(a, value(i), 0);
+    } else if (a == "--shard-dir") {
+      args.shardDir = nonEmpty(i);
+    } else if (a.rfind("--shard-dir=", 0) == 0) {
+      args.shardDir = a.substr(std::strlen("--shard-dir="));
+      if (args.shardDir.empty())
+        usageError("--shard-dir expects a non-empty value");
     } else if (a == "--from-shards") {
       args.fromShards = true;
-    } else if (a == "--failpoints") {
-      // Already applied by failpoint::initFromArgs at the top of run();
-      // consume the value so it is not mistaken for a positional.
-      (void)nonEmpty(i, "--failpoints");
-    } else if (a.rfind("--failpoints=", 0) == 0) {
-      // Already applied by failpoint::initFromArgs.
     } else if (a == "--no-directives") {
       args.directives = false;
     } else if (a == "--model") {
-      args.model = value(i, "--model");
+      args.model = value(i);
     } else if (a == "--topology") {
-      args.topology = value(i, "--topology");
+      args.topology = value(i);
       if (args.topology != "tilelinear" && args.topology != "conv")
         usageError("--topology expects tilelinear or conv, got '" +
                    args.topology + "'");
     } else if (a == "--epochs") {
-      args.epochs = parseUint("--epochs", value(i, "--epochs"));
-      if (args.epochs == 0) usageError("--epochs expects N >= 1");
+      args.epochs = parseCount(a, value(i), 1);
     } else if (a == "--map-out") {
-      args.mapOut = nonEmpty(i, "--map-out");
+      args.mapOut = nonEmpty(i);
     } else if (a.rfind("--", 0) == 0) {
       usageError("unknown option '" + a + "' (see hcp_cli usage)");
     } else {
       args.positional.push_back(a);
     }
-  }
-  if (args.report.empty()) {
-    if (const char* env = std::getenv("HCP_REPORT")) args.report = env;
-  }
-  if (args.trace.empty()) {
-    if (const char* env = std::getenv("HCP_TRACE")) args.trace = env;
-  }
-  if (args.cache.empty()) {
-    if (const char* env = std::getenv("HCP_CACHE")) args.cache = env;
   }
   if (args.shardDir.empty()) {
     if (const char* env = std::getenv("HCP_SHARDS")) args.shardDir = env;
@@ -247,37 +199,33 @@ Args parse(int argc, char** argv, int first) {
 }
 
 /// `compare-reports BASE.json NEW.json [flags]` — flag parsing is local
-/// because the common Args flags (seed/threads/model) make no sense here.
-int runCompareReports(int argc, char** argv) {
+/// because the common Args flags (seed/model/...) make no sense here.
+int runCompareReports(const std::vector<std::string>& argv) {
   std::string base, fresh;
   support::report_diff::Options opts;
-  auto value = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) usageError(std::string(flag) + " expects a value");
+  auto value = [&](std::size_t& i) -> const std::string& {
+    if (i + 1 >= argv.size()) usageError(argv[i] + " expects a value");
     return argv[++i];
   };
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
+  for (std::size_t i = 1; i < argv.size(); ++i) {
+    const std::string& a = argv[i];
     if (a == "--max-wall-regress") {
       // Strict parse: the old raw strtod accepted "nan" (which made the
       // regression gate vacuously pass — NaN compares false), "inf", hex
       // floats and trailing garbage like "400%".
-      const char* text = value(i, "--max-wall-regress");
+      const std::string& text = value(i);
       const std::optional<double> pct = support::env::parseF64(text);
       if (!pct || *pct < 0.0)
         usageError(
             "--max-wall-regress expects a non-negative percentage, got '" +
-            std::string(text) + "'");
+            text + "'");
       opts.maxWallRegressPct = *pct;
     } else if (a == "--require-counters-equal") {
       opts.requireCountersEqual = true;
     } else if (a == "--bench-out") {
-      opts.benchOutPath = value(i, "--bench-out");
+      opts.benchOutPath = value(i);
       if (opts.benchOutPath.empty())
         usageError("--bench-out expects a non-empty value");
-    } else if (a == "--failpoints") {
-      (void)value(i, "--failpoints");  // applied by failpoint::initFromArgs
-    } else if (a.rfind("--failpoints=", 0) == 0) {
-      // Applied by failpoint::initFromArgs.
     } else if (a.rfind("--", 0) == 0) {
       usageError("unknown option '" + a + "' (see hcp_cli usage)");
     } else if (base.empty()) {
@@ -316,36 +264,34 @@ void printSummary(const core::FlowResult& flow) {
   std::printf("samples traced  : %zu\n", flow.traced.samples.size());
 }
 
-int run(int argc, char** argv) {
-  const std::string cmd = argv[1];
-  // Arm fault injection first: every later stage (including compare-reports'
-  // --bench-out) consults its failpoints through this one configuration.
-  support::failpoint::initFromArgs(argc, argv);
+/// The `list` and `compare-reports` queries write no report, trace or cache
+/// (support::process::Mode::kQuery).
+bool isQuery(const std::string& cmd) {
+  return cmd == "list" || cmd == "compare-reports";
+}
 
+int run(support::process::Session& session, const std::string& cmd) {
+  const std::vector<std::string>& argv = session.args();
+  // The command is argv[1]: a leading flag is no command at all.
+  if (argv.empty() || argv[0] != cmd) return usage();
   if (cmd == "list") {
     for (const auto& d : apps::designNames()) std::printf("%s\n", d.c_str());
     return checkStdout();
   }
-  if (cmd == "compare-reports") return runCompareReports(argc, argv);
+  if (cmd == "compare-reports") return runCompareReports(argv);
 
   const auto device = fpga::Device::xc7z020like();
-  const Args args = parse(argc, argv, 2);
+  const Args args = parse(argv);
   if (args.fromShards && cmd != "train")
     usageError("--from-shards only applies to train");
-  if (args.threads > 0) support::setThreadLimit(args.threads);
-  if (!args.report.empty()) support::telemetry::setEnabled(true);
-  if (!args.trace.empty()) support::tracing::arm();
-  if (!args.cache.empty()) support::flowcache::setGlobalDir(args.cache);
-  const auto start = support::telemetry::detail::nowNs();
-
-  std::vector<std::string> reportDesigns;
-  int code = -1;  // -1 = unknown command
+  session.report().command = cmd;
+  session.report().seed = args.seed;
+  std::vector<std::string>& reportDesigns = session.report().designs;
 
   if (cmd == "flow") {
     if (args.positional.size() != 1) return usage();
     reportDesigns = {args.positional[0]};
     printSummary(runNamedFlow(args.positional[0], args, device));
-    code = 0;
   } else if (cmd == "shard") {
     if (args.positional.empty()) return usage();
     if (args.shardDir.empty())
@@ -368,7 +314,6 @@ int run(int argc, char** argv) {
                 args.positional.size(),
                 args.positional.size() == 1 ? "" : "s", total,
                 args.shardDir.c_str());
-    code = 0;
   } else if (cmd == "train") {
     core::PredictorOptions opts;
     if (args.model == "linear") opts.kind = core::ModelKind::Linear;
@@ -402,7 +347,6 @@ int run(int argc, char** argv) {
       std::printf("saved %s predictor to %s (%zu samples from %zu shards)\n",
                   args.model.c_str(), modelPath.c_str(), set.totalSamples(),
                   set.numShards());
-      code = 0;
     } else {
       if (args.positional.size() < 2) return usage();
       const std::string modelPath = args.positional[0];
@@ -432,7 +376,6 @@ int run(int argc, char** argv) {
       std::printf("saved %s predictor to %s (%zu samples)\n",
                   args.model.c_str(), modelPath.c_str(),
                   dataset.vertical.size());
-      code = 0;
     }
   } else if (cmd == "predict" || cmd == "advise") {
     if (args.positional.size() != 2) return usage();
@@ -454,7 +397,6 @@ int run(int argc, char** argv) {
                     std::string(core::resolutionKindName(hint.kind)).c_str(),
                     hint.message.c_str());
     }
-    code = 0;
   } else if (cmd == "train-map") {
     if (args.positional.size() < 2) return usage();
     const std::string modelPath = args.positional[0];
@@ -490,7 +432,6 @@ int run(int argc, char** argv) {
     std::printf("saved %s map model to %s (%zu maps, final loss %.6f)\n",
                 args.topology.c_str(), modelPath.c_str(), samples.size(),
                 model.finalLoss());
-    code = 0;
   } else if (cmd == "predict-map") {
     if (args.positional.size() != 2) return usage();
     reportDesigns = {args.positional[1]};
@@ -513,7 +454,6 @@ int run(int argc, char** argv) {
       std::fprintf(stderr, "[hcp] map artifact written to %s\n",
                    args.mapOut.c_str());
     }
-    code = 0;
   } else if (cmd == "dump-ir") {
     if (args.positional.size() != 1) return usage();
     reportDesigns = {args.positional[0]};
@@ -521,7 +461,6 @@ int run(int argc, char** argv) {
     const auto design =
         hls::synthesize(std::move(app.module), app.directives, {});
     std::printf("%s", ir::print(*design.module).c_str());
-    code = 0;
   } else if (cmd == "dump-verilog") {
     if (args.positional.size() != 1) return usage();
     reportDesigns = {args.positional[0]};
@@ -530,59 +469,22 @@ int run(int argc, char** argv) {
         hls::synthesize(std::move(app.module), app.directives, {});
     const auto rtl = rtl::generateRtl(design);
     std::printf("%s", rtl::toVerilog(rtl.netlist).c_str());
-    code = 0;
+  } else {
+    return usage();
   }
-
-  if (code == 0 && !args.report.empty()) {
-    support::telemetry::RunReport meta;
-    meta.tool = "hcp_cli";
-    meta.command = cmd;
-    meta.designs = reportDesigns;
-    meta.seed = args.seed;
-    meta.threads = support::threadLimit();
-    meta.totalWallMs =
-        static_cast<double>(support::telemetry::detail::nowNs() - start) / 1e6;
-    support::telemetry::writeReportToFile(args.report, meta);
-    std::fprintf(stderr, "[hcp] run report written to %s\n",
-                 args.report.c_str());
-  }
-  if (code == 0 && !args.trace.empty()) {
-    support::tracing::TraceMeta meta;
-    meta.tool = "hcp_cli";
-    meta.command = cmd;
-    support::tracing::writeChromeTraceToFile(args.trace, meta);
-    std::fprintf(stderr, "[hcp] trace timeline written to %s\n",
-                 args.trace.c_str());
-  }
-  if (code == 0) checkStdout();
-  return code == -1 ? usage() : code;
+  // The report and trace are written before the stdout check, so a dead
+  // stdout (exit 5) still leaves them behind.
+  session.finish();
+  return checkStdout();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  support::ignoreSigpipe();
-  // Touch the thread limit before doing anything: a malformed HCP_THREADS
-  // must exit 2 up front, not whenever the first parallel region runs.
-  support::threadLimit();
-  if (argc < 2) return usage();
-  try {
-    return run(argc, argv);
-  } catch (const hcp::IoError& e) {
-    // A user-requested artifact (model, --report, --trace, CSV, --bench-out)
-    // could not be written. The flow itself may have succeeded; the distinct
-    // exit code lets scripts tell "your file is missing" from "the flow
-    // broke". No partial file exists — CheckedFileWriter is atomic.
-    std::fprintf(stderr, "artifact write error: %s\n", e.what());
-    return 5;
-  } catch (const hcp::Error& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  } catch (const std::exception& e) {
-    // Anything outside the library's own error type (bad_alloc, stream
-    // failures, ...) is an internal error: report it instead of aborting,
-    // with a distinct exit code so scripts can tell the cases apart.
-    std::fprintf(stderr, "internal error: %s\n", e.what());
-    return 3;
-  }
+  const std::string cmd = argc > 1 ? argv[1] : "";
+  return support::process::runMain(
+      "hcp_cli", argc, argv,
+      [&](support::process::Session& session) { return run(session, cmd); },
+      isQuery(cmd) ? support::process::Mode::kQuery
+                   : support::process::Mode::kRun);
 }

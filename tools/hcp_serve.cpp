@@ -22,7 +22,6 @@
 //                     beyond it requests get a per-request queue-full error)
 //   --max-line-bytes N  reject request lines longer than this (default 1 MiB)
 //   --status-every N  print a status line to stderr every N batches
-//   --threads N       thread-pool size (default: HCP_THREADS or hardware)
 //   --tick-ns N       logical clock: each serving-thread clock read advances
 //                     a counter by N ns instead of reading the real clock,
 //                     making latency histograms / metrics byte-identical at
@@ -31,13 +30,14 @@
 //                           .prom Prometheus sibling) atomically after flush
 //                           windows and at exit
 //   --metrics-interval N    snapshot every N flush windows (default 1)
-//   --report FILE     write a JSON run report on exit (HCP_REPORT fallback)
-//   --trace FILE      write a Chrome trace timeline (HCP_TRACE fallback);
-//                     also re-written incrementally at metrics cadence so a
-//                     killed daemon leaves a stale-but-usable trace
-//   --cache DIR       flow-result cache directory (HCP_CACHE fallback)
-//   --failpoints SPEC arm fault injection, e.g. serve.request:1
-//                     (HCP_FAILPOINTS fallback)
+//
+// --threads, --report, --trace, --cache and --failpoints (with their HCP_*
+// fallbacks) and the exit codes are the process contract every hcp binary
+// shares: README "Process contract", DESIGN.md §14. Here the trace is also
+// re-written incrementally at metrics cadence, so a killed daemon leaves a
+// stale-but-usable timeline; exit 1 is a startup error (e.g. the model
+// cannot be loaded) and exit 5 includes a dead response stream, after the
+// report, trace and final metrics snapshot are written.
 //
 // SIGTERM/SIGINT are routed through a flag (no SA_RESTART): the blocked
 // read/accept returns, the loop drains, and the normal at-exit artifact
@@ -45,9 +45,6 @@
 //
 // Per-request failures (malformed JSON, unknown design, injected serve.*
 // fault) are answered with {"ok":false,...} and never stop the daemon.
-// Exit codes: 0 clean shutdown/EOF, 1 startup error (hcp::Error, e.g. the
-// model cannot be loaded), 2 usage error, 3 unexpected internal error,
-// 5 the response stream or a requested artifact could not be written.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -56,16 +53,15 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "serve/fdio.hpp"
 #include "serve/server.hpp"
 #include "support/env.hpp"
 #include "support/error.hpp"
-#include "support/failpoint.hpp"
-#include "support/flowcache.hpp"
 #include "support/parallel.hpp"
+#include "support/process.hpp"
 #include "support/signals.hpp"
-#include "support/telemetry.hpp"
 #include "support/tracing.hpp"
 
 using namespace hcp;
@@ -93,7 +89,6 @@ int usage() {
 struct Args {
   serve::ServerConfig config;
   std::string socketPath;
-  std::uint64_t threads = 0;  ///< 0 = HCP_THREADS / hardware default
 };
 
 std::uint64_t parseCount(const std::string& flag, const std::string& value,
@@ -105,9 +100,11 @@ std::uint64_t parseCount(const std::string& flag, const std::string& value,
   return *parsed;
 }
 
-Args parse(int argc, char** argv) {
+/// Parses the arguments the process shell left after taking out its own
+/// flags.
+Args parse(const std::vector<std::string>& argv) {
   Args args;
-  for (int i = 1; i < argc; ++i) {
+  for (std::size_t i = 0; i < argv.size(); ++i) {
     std::string arg = argv[i];
     std::string value;
     bool hasValue = false;
@@ -116,16 +113,9 @@ Args parse(int argc, char** argv) {
       arg = arg.substr(0, eq);
       hasValue = true;
     }
-    // --report/--trace/--cache/--failpoints were consumed by the init*
-    // helpers before parse() ran; skip them (and their value tokens) here.
-    if (arg == "--report" || arg == "--trace" || arg == "--cache" ||
-        arg == "--failpoints") {
-      if (!hasValue) ++i;
-      continue;
-    }
     auto need = [&]() -> const std::string& {
       if (!hasValue) {
-        if (i + 1 >= argc) usageError(arg + " needs a value");
+        if (i + 1 >= argv.size()) usageError(arg + " needs a value");
         value = argv[++i];
       }
       return value;
@@ -146,8 +136,6 @@ Args parse(int argc, char** argv) {
           static_cast<std::size_t>(parseCount(arg, need(), 1));
     } else if (arg == "--status-every") {
       args.config.statusEveryBatches = parseCount(arg, need(), 1);
-    } else if (arg == "--threads") {
-      args.threads = parseCount(arg, need(), 1);
     } else if (arg == "--tick-ns") {
       args.config.tickNs = parseCount(arg, need(), 1);
     } else if (arg == "--metrics-out") {
@@ -207,32 +195,17 @@ bool serveSocket(serve::Server& server, const std::string& path) {
   return clean;
 }
 
-int run(int argc, char** argv) {
-  // SIGPIPE would otherwise kill the daemon the instant a client hangs up
-  // mid-response; ignored, the write fails visibly instead. SIGTERM/SIGINT
-  // become a drain-and-flush request instead of an instant kill.
-  support::ignoreSigpipe();
+int run(support::process::Session& session) {
+  // SIGTERM/SIGINT become a drain-and-flush request instead of an instant
+  // kill.
   support::installTerminationHandler();
-  // Validate HCP_THREADS up front (exit 2 on garbage) — a daemon must not
-  // defer its misconfiguration to the first batch.
-  support::threadLimit();
-  support::failpoint::initFromArgs(argc, argv);
-  const std::string reportPath =
-      support::telemetry::initReportFromArgs(argc, argv);
-  const std::string tracePath =
-      support::tracing::initTraceFromArgs(argc, argv);
-  support::flowcache::initCacheFromArgs(argc, argv);
-
-  const Args args = parse(argc, argv);
-  if (args.threads > 0)
-    support::setThreadLimit(static_cast<std::size_t>(args.threads));
-  if (!tracePath.empty()) {
+  session.report().command = "serve";
+  const Args args = parse(session.args());
+  if (!session.tracePath().empty()) {
     // Incremental flushing: the trace file is rewritten at quiescent points
     // while serving, so a killed daemon leaves a stale file, not none.
-    support::tracing::TraceMeta meta;
-    meta.tool = "hcp_serve";
-    meta.command = "serve";
-    support::tracing::configureAutoFlush(tracePath, meta);
+    support::tracing::configureAutoFlush(
+        session.tracePath(), {session.report().tool, "serve"});
   }
 
   serve::Server server(args.config);  // models load here, once
@@ -261,23 +234,9 @@ int run(int argc, char** argv) {
                static_cast<unsigned long long>(stats.cacheHits),
                static_cast<unsigned long long>(stats.batches));
 
-  if (!reportPath.empty()) {
-    support::telemetry::RunReport meta;
-    meta.tool = "hcp_serve";
-    meta.command = "serve";
-    meta.threads = support::threadLimit();
-    support::telemetry::writeReportToFile(reportPath, meta);
-    std::fprintf(stderr, "[hcp_serve] run report written to %s\n",
-                 reportPath.c_str());
-  }
-  if (!tracePath.empty()) {
-    support::tracing::TraceMeta meta;
-    meta.tool = "hcp_serve";
-    meta.command = "serve";
-    support::tracing::writeChromeTraceToFile(tracePath, meta);
-    std::fprintf(stderr, "[hcp_serve] trace timeline written to %s\n",
-                 tracePath.c_str());
-  }
+  // The drained daemon's report and trace are written even when its
+  // response stream died.
+  session.finish();
   // Final snapshot: unlike the periodic ones this reflects the drained
   // daemon (and is the only one a trafficless run ever writes).
   server.writeMetricsNow();
@@ -294,16 +253,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const hcp::IoError& e) {
-    std::fprintf(stderr, "artifact write error: %s\n", e.what());
-    return 5;
-  } catch (const hcp::Error& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "internal error: %s\n", e.what());
-    return 3;
-  }
+  return support::process::runMain("hcp_serve", argc, argv, run);
 }

@@ -11,7 +11,8 @@
 // and the CI smoke job want.
 //
 // Exit codes: 0 success, 1 the daemon is unreachable or answered garbage,
-// 2 usage error.
+// 2 usage error, 3 unexpected internal error (the process shell's mapping,
+// support/process.hpp; hcp_top takes none of the shell's flags).
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -19,7 +20,7 @@
 
 #include "serve/top.hpp"
 #include "support/env.hpp"
-#include "support/error.hpp"
+#include "support/process.hpp"
 #include "support/signals.hpp"
 
 using namespace hcp;
@@ -121,13 +122,6 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const hcp::Error& e) {
-    std::fprintf(stderr, "hcp_top: %s\n", e.what());
-    return 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "hcp_top: internal error: %s\n", e.what());
-    return 3;
-  }
+  return support::process::exitCodeOf("hcp_top",
+                                      [&] { return run(argc, argv); });
 }

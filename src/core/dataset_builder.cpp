@@ -11,16 +11,6 @@ LabeledDataset buildDataset(const FlowResult& flow,
   return buildDataset(std::span<const FlowResult>(one, 1), options);
 }
 
-void enrichDataset(LabeledDataset& base, const LabeledDataset& extra) {
-  base.vertical.merge(extra.vertical);
-  base.horizontal.merge(extra.horizontal);
-  base.average.merge(extra.average);
-  base.samples.insert(base.samples.end(), extra.samples.begin(),
-                      extra.samples.end());
-  base.filterStats.total += extra.filterStats.total;
-  base.filterStats.marginal += extra.filterStats.marginal;
-}
-
 LabeledDataset buildDataset(std::span<const FlowResult> flows,
                             const DatasetOptions& options) {
   HCP_SPAN("build_dataset");

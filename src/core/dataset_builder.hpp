@@ -32,15 +32,12 @@ LabeledDataset buildDataset(const FlowResult& flow,
                             const DatasetOptions& options = {});
 
 /// Builds and merges datasets over several flow results (the paper trains on
-/// all benchmark combinations together).
+/// all benchmark combinations together): each flow's rows in flow order,
+/// filter counts summed. This is also the paper's dataset enrichment (§III:
+/// "the target design should go through the complete C-to-FPGA flow for one
+/// time to generate congestion metrics which will be used to enrich the
+/// dataset"): pass the target design's flow along with the others.
 LabeledDataset buildDataset(std::span<const FlowResult> flows,
                             const DatasetOptions& options = {});
-
-/// Dataset enrichment (paper §III: "if there are not many available
-/// applications ... the target design should go through the complete
-/// C-to-FPGA flow for one time to generate congestion metrics which will be
-/// used to enrich the dataset and improve the estimation accuracy").
-/// Appends `extra`'s rows to `base` in place.
-void enrichDataset(LabeledDataset& base, const LabeledDataset& extra);
 
 }  // namespace hcp::core

@@ -178,11 +178,6 @@ std::vector<Hotspot> CongestionPredictor::findHotspots(
   return hotspots;
 }
 
-std::vector<double> CongestionPredictor::featureImportance() const {
-  if (!trained_ || options_.kind != ModelKind::Gbrt) return {};
-  return static_cast<const ml::Gbrt&>(*vertical_).featureImportance();
-}
-
 void CongestionPredictor::save(const std::string& path) const {
   HCP_CHECK_MSG(trained_, "cannot save an untrained predictor");
   // Same fail-safe contract as ml::saveModelToFile: the in-body os.good()

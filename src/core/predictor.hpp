@@ -76,10 +76,6 @@ class CongestionPredictor {
                                     const features::DeviceCaps& caps,
                                     std::size_t topK = 10) const;
 
-  /// The GBRT vertical-congestion model's feature importance (empty for
-  /// other model kinds). Used by the Table V bench.
-  std::vector<double> featureImportance() const;
-
   /// Persists the three trained models (train once, reuse across projects
   /// without another place-and-route run).
   void save(const std::string& path) const;

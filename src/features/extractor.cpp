@@ -86,13 +86,6 @@ void FeatureExtractor::prepare() const {
   for (std::uint32_t f = 0; f < ctx_.size(); ++f) ctx(f);
 }
 
-hls::Resource FeatureExtractor::opResource(std::uint32_t functionIndex,
-                                           ir::OpId op) const {
-  const FunctionCtx& c = ctx(functionIndex);
-  HCP_CHECK(op < c.opRes.size());
-  return c.opRes[op];
-}
-
 std::vector<double> FeatureExtractor::extract(std::uint32_t f,
                                               ir::OpId op) const {
   const ir::Function& fn = design_.module->function(f);

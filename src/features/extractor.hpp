@@ -36,10 +36,6 @@ class FeatureExtractor {
   /// sharing one extractor across concurrent extract() calls.
   void prepare() const;
 
-  /// Per-op resource share (unit + binding muxes split over sharers, plus
-  /// bank-access muxes for loads). Exposed for tests.
-  hls::Resource opResource(std::uint32_t functionIndex, ir::OpId op) const;
-
  private:
   struct FunctionCtx {
     std::vector<hls::Resource> opRes;    ///< per op

@@ -19,13 +19,6 @@ double CongestionMap::maxHUtil() const {
   return m;
 }
 
-double CongestionMap::meanVUtil() const {
-  double s = 0.0;
-  for (std::uint32_t y = 0; y < height_; ++y)
-    for (std::uint32_t x = 0; x < width_; ++x) s += vUtil(x, y);
-  return s / static_cast<double>(vDemand_.size());
-}
-
 double CongestionMap::meanHUtil() const {
   double s = 0.0;
   for (std::uint32_t y = 0; y < height_; ++y)

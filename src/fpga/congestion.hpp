@@ -89,7 +89,6 @@ class CongestionMap {
 
   double maxVUtil() const;
   double maxHUtil() const;
-  double meanVUtil() const;
   double meanHUtil() const;
 
   /// Number of tiles whose vertical OR horizontal utilization exceeds

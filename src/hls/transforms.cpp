@@ -332,75 +332,4 @@ void applyDirectives(Module& mod, const DirectiveSet& dirs) {
   ir::verifyOrThrow(mod);
 }
 
-std::vector<ArrayId> replicateArray(Function& fn, ArrayId array,
-                                    std::uint32_t copies) {
-  HCP_CHECK(array < fn.numArrays());
-  HCP_CHECK(copies >= 2);
-  const ir::ArrayInfo original = fn.array(array);
-
-  std::vector<ArrayId> replicas;
-  for (std::uint32_t c = 0; c < copies; ++c) {
-    ir::ArrayInfo info = original;
-    info.name = original.name + "_rep" + std::to_string(c);
-    replicas.push_back(fn.addArray(info));
-  }
-
-  // Redistribute existing loads round-robin over the replicas.
-  std::uint32_t next = 0;
-  const std::size_t numOpsBefore = fn.numOps();
-  for (OpId id = 0; id < numOpsBefore; ++id) {
-    Op& op = fn.op(id);
-    if (op.opcode == Opcode::Load && op.array == array) {
-      op.array = replicas[next % copies];
-      ++next;
-    }
-  }
-
-  // Pipelined copy loop: load the original once per word, store to every
-  // replica. (II=1, so the latency cost is ~words cycles, overlapped.)
-  ir::LoopInfo loop;
-  loop.name = original.name + "_replicate";
-  loop.parent = kRootRegion;
-  loop.tripCount = std::max<std::uint64_t>(1, original.words);
-  loop.pipelined = true;
-  loop.initiationInterval = 1;
-  const LoopId l = fn.addLoop(loop);
-
-  std::uint16_t idxWidth = 1;
-  while ((std::uint64_t{1} << idxWidth) < std::max<std::uint64_t>(
-             2, original.words))
-    ++idxWidth;
-
-  Op idx;
-  idx.opcode = Opcode::Const;  // stands in for the loop induction variable
-  idx.bitwidth = idxWidth;
-  idx.loop = l;
-  idx.name = original.name + "_rep_idx";
-  const OpId idxOp = fn.addOp(std::move(idx));
-  fn.op(idxOp).originOp = idxOp;
-
-  Op ld;
-  ld.opcode = Opcode::Load;
-  ld.bitwidth = original.bitwidth;
-  ld.array = array;
-  ld.operands = {Operand{idxOp, idxWidth}};
-  ld.loop = l;
-  ld.name = original.name + "_rep_load";
-  const OpId ldOp = fn.addOp(std::move(ld));
-  fn.op(ldOp).originOp = ldOp;
-
-  for (ArrayId r : replicas) {
-    Op st;
-    st.opcode = Opcode::Store;
-    st.bitwidth = 0;
-    st.array = r;
-    st.operands = {Operand{idxOp, idxWidth},
-                   Operand{ldOp, original.bitwidth}};
-    st.loop = l;
-    const OpId stOp = fn.addOp(std::move(st));
-    fn.op(stOp).originOp = stOp;
-  }
-  return replicas;
-}
-
 }  // namespace hcp::hls

@@ -1,9 +1,9 @@
 // Directive-driven IR transformations, modelling what Vivado HLS does before
 // scheduling: array partitioning, loop unrolling (with replica provenance —
 // the marginal-sample filter of §III-C1 needs to know which ops are copies
-// of the same pre-unroll op), function inlining, and the case study's
-// "Replication" rewrite (§IV-C step 2: replicate a shared input array and
-// spread its readers over the copies to cut interconnection pressure).
+// of the same pre-unroll op) and function inlining. The case study's
+// "Replication" step (§IV-C step 2) is built into the face_detection
+// generator (FaceDetectionConfig::replicateWindowArray), not applied here.
 #pragma once
 
 #include <cstdint>
@@ -35,12 +35,5 @@ void applyInline(ir::Module& mod, const DirectiveSet& dirs);
 /// partition -> unroll -> pipeline marks -> inline. The module is modified
 /// in place and re-verified.
 void applyDirectives(ir::Module& mod, const DirectiveSet& dirs);
-
-/// Case-study "Replication": creates `copies` duplicates of `array`, adds a
-/// pipelined copy loop filling them from the original, and redistributes the
-/// existing Load ops round-robin over the copies. Returns the ids of the new
-/// arrays.
-std::vector<ir::ArrayId> replicateArray(ir::Function& fn, ir::ArrayId array,
-                                        std::uint32_t copies);
 
 }  // namespace hcp::hls

@@ -129,11 +129,6 @@ OpId Builder::zext(OpId a, std::uint16_t width) {
   return make(Opcode::ZExt, width, {a});
 }
 
-OpId Builder::sext(OpId a, std::uint16_t width) {
-  HCP_CHECK(width >= fn_.op(a).bitwidth);
-  return make(Opcode::SExt, width, {a});
-}
-
 OpId Builder::concat(OpId hi, OpId lo) {
   const auto w = static_cast<std::uint16_t>(fn_.op(hi).bitwidth +
                                             fn_.op(lo).bitwidth);
@@ -143,17 +138,6 @@ OpId Builder::concat(OpId hi, OpId lo) {
 OpId Builder::extract(OpId a, std::uint16_t offset, std::uint16_t width) {
   HCP_CHECK(offset + width <= fn_.op(a).bitwidth);
   return makeWithBits(Opcode::Extract, width, {Operand{a, width}});
-}
-
-OpId Builder::muladd(OpId a, OpId b, OpId c) {
-  const std::uint16_t w = static_cast<std::uint16_t>(std::min<int>(
-      64, std::max<int>(fn_.op(a).bitwidth + fn_.op(b).bitwidth,
-                        fn_.op(c).bitwidth) + 1));
-  return make(Opcode::MulAdd, w, {a, b, c});
-}
-
-OpId Builder::mac(OpId acc, OpId a, OpId b) {
-  return make(Opcode::Mac, fn_.op(acc).bitwidth, {acc, a, b});
 }
 
 OpId Builder::load(ArrayId arr, OpId index) {

@@ -80,13 +80,9 @@ class Builder {
   OpId popcount(OpId a);
   OpId trunc(OpId a, std::uint16_t width);
   OpId zext(OpId a, std::uint16_t width);
-  OpId sext(OpId a, std::uint16_t width);
   OpId concat(OpId hi, OpId lo);
   /// Extracts `width` bits starting at `offset` from a's result.
   OpId extract(OpId a, std::uint16_t offset, std::uint16_t width);
-  /// Fused multiply-add: a*b + c.
-  OpId muladd(OpId a, OpId b, OpId c);
-  OpId mac(OpId acc, OpId a, OpId b);
 
   // --- memory / io -----------------------------------------------------
   OpId load(ArrayId arr, OpId index);

@@ -11,14 +11,4 @@ bool Function::inLoop(OpId opId, LoopId l) const {
   }
 }
 
-std::uint64_t Function::iterationProduct(OpId opId) const {
-  std::uint64_t product = 1;
-  LoopId cur = op(opId).loop;
-  while (cur != kRootRegion) {
-    product *= loop(cur).tripCount;
-    cur = loop(cur).parent;
-  }
-  return product;
-}
-
 }  // namespace hcp::ir

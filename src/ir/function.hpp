@@ -163,10 +163,6 @@ class Function {
   /// True if the op is (transitively) inside loop `l`.
   bool inLoop(OpId opId, LoopId l) const;
 
-  /// Total trip count product of all loops enclosing `opId` (how many times
-  /// the op executes per function invocation).
-  std::uint64_t iterationProduct(OpId opId) const;
-
  private:
   std::string name_;
   std::vector<Op> ops_;

@@ -91,29 +91,6 @@ bool isSharable(Opcode op) {
   }
 }
 
-bool isCommutative(Opcode op) {
-  switch (op) {
-    case Opcode::Add:
-    case Opcode::Mul:
-    case Opcode::And:
-    case Opcode::Or:
-    case Opcode::Xor:
-    case Opcode::FAdd:
-    case Opcode::FMul:
-    case Opcode::ICmpEq:
-    case Opcode::ICmpNe:
-    case Opcode::Min:
-    case Opcode::Max:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool isMemoryOp(Opcode op) {
-  return op == Opcode::Load || op == Opcode::Store || op == Opcode::Alloca;
-}
-
 Opcode opcodeFromIndex(std::size_t idx) {
   HCP_CHECK(idx < kNumOpcodes);
   return static_cast<Opcode>(idx);

@@ -59,12 +59,6 @@ bool isFunctionalUnit(Opcode op);
 /// (multi-cycle / expensive units: mul, div, fp ops, fused DSP).
 bool isSharable(Opcode op);
 
-/// True for commutative binary ops.
-bool isCommutative(Opcode op);
-
-/// True for memory ops referencing an ArrayInfo.
-bool isMemoryOp(Opcode op);
-
 /// Opcode from index (bounds-checked) — used by the feature registry to
 /// enumerate the one-hot encoding deterministically.
 Opcode opcodeFromIndex(std::size_t idx);

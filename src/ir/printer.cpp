@@ -73,12 +73,6 @@ void printFunctionInto(const Function& fn, const PrintOptions& options,
 
 }  // namespace
 
-std::string print(const Function& fn, const PrintOptions& options) {
-  std::ostringstream os;
-  printFunctionInto(fn, options, os);
-  return os.str();
-}
-
 std::string print(const Module& mod, const PrintOptions& options) {
   std::ostringstream os;
   os << "module " << mod.name();

@@ -23,9 +23,6 @@ struct PrintOptions {
   bool unrollOrigins = false;///< append origin=N/replica=N for unroll copies
 };
 
-/// Renders one function.
-std::string print(const Function& fn, const PrintOptions& options = {});
-
 /// Renders a whole module (top marked).
 std::string print(const Module& mod, const PrintOptions& options = {});
 

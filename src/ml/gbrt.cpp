@@ -184,19 +184,4 @@ std::vector<double> Gbrt::featureImportance() const {
   return imp;
 }
 
-std::vector<double> Gbrt::featureImportanceByGain() const {
-  std::vector<double> imp(numFeatures_, 0.0);
-  double total = 0.0;
-  for (const RegressionTree& t : trees_) {
-    const auto& gains = t.splitGains();
-    for (std::size_t f = 0; f < gains.size(); ++f) {
-      imp[f] += gains[f];
-      total += gains[f];
-    }
-  }
-  if (total > 0)
-    for (double& v : imp) v /= total;
-  return imp;
-}
-
 }  // namespace hcp::ml

@@ -35,9 +35,6 @@ class Gbrt : public Regressor {
   /// ensemble never split).
   std::vector<double> featureImportance() const;
 
-  /// Gain-weighted variant for comparison.
-  std::vector<double> featureImportanceByGain() const;
-
   std::size_t numTrees() const { return trees_.size(); }
   const std::vector<RegressionTree>& trees() const { return trees_; }
   const GbrtConfig& config() const { return config_; }

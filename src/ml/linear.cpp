@@ -110,11 +110,4 @@ double LassoRegression::predict(const std::vector<double>& row) const {
   return y;
 }
 
-std::size_t LassoRegression::nonZeroWeights() const {
-  std::size_t count = 0;
-  for (double w : weights_)
-    if (w != 0.0) ++count;
-  return count;
-}
-
 }  // namespace hcp::ml

@@ -25,7 +25,6 @@ class LassoRegression : public Regressor {
 
   /// Weights in standardized feature space (sparsity inspection).
   const std::vector<double>& weights() const { return weights_; }
-  std::size_t nonZeroWeights() const;
   int iterationsRun() const { return iterationsRun_; }
 
   /// Text serialization (used by ml/serialize).

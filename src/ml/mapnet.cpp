@@ -231,17 +231,6 @@ std::string MapPrediction::toAscii(bool vertical) const {
   return os.str();
 }
 
-std::string MapPrediction::toCsv() const {
-  std::ostringstream os;
-  os << "x,y,v_util,h_util\n";
-  for (std::uint32_t y = 0; y < height; ++y)
-    for (std::uint32_t x = 0; x < width; ++x) {
-      const std::size_t i = static_cast<std::size_t>(y) * width + x;
-      os << x << "," << y << "," << vUtil[i] << "," << hUtil[i] << "\n";
-    }
-  return os.str();
-}
-
 void MapPrediction::write(std::ostream& os) const {
   txt::preparePrecision(os);
   os << "hcp-map 1\n" << width << ' ' << height << '\n';
@@ -252,36 +241,9 @@ void MapPrediction::write(std::ostream& os) const {
   os << '\n';
 }
 
-MapPrediction MapPrediction::read(std::istream& is) {
-  txt::expect(is, "hcp-map");
-  const int version = txt::read<int>(is, "map version");
-  HCP_CHECK_MSG(version == 1, "unsupported map version " << version);
-  MapPrediction map;
-  map.width = txt::read<std::uint32_t>(is, "map width");
-  map.height = txt::read<std::uint32_t>(is, "map height");
-  txt::expect(is, "vutil");
-  map.vUtil = txt::readVec<double>(is, "vutil");
-  txt::expect(is, "hutil");
-  map.hUtil = txt::readVec<double>(is, "hutil");
-  HCP_CHECK_MSG(
-      map.vUtil.size() == map.numTiles() && map.hUtil.size() == map.numTiles(),
-      "map grid shape mismatch: " << map.width << "x" << map.height
-                                  << " grid with " << map.vUtil.size() << "/"
-                                  << map.hUtil.size() << " tile values");
-  checkFinite(map.vUtil, "vutil");
-  checkFinite(map.hUtil, "hutil");
-  return map;
-}
-
 void saveMapPrediction(const MapPrediction& map, std::ostream& os) {
   map.write(os);
   HCP_CHECK_MSG(os.good(), "map write failed");
-}
-
-MapPrediction loadMapPrediction(std::istream& is) {
-  MapPrediction map = MapPrediction::read(is);
-  txt::expectEnd(is, "congestion map");
-  return map;
 }
 
 void saveMapPredictionToFile(const MapPrediction& map,
@@ -289,10 +251,6 @@ void saveMapPredictionToFile(const MapPrediction& map,
   support::txt::CheckedFileWriter writer(path, "mapout");
   saveMapPrediction(map, writer.stream());
   writer.commit();
-}
-
-MapPrediction loadMapPredictionFromFile(const std::string& path) {
-  return txt::readFile(path, "map", MapPrediction::read);
 }
 
 // --- MapNet ----------------------------------------------------------------

@@ -53,9 +53,9 @@ struct MapSample {
   std::vector<double> hTarget;
 };
 
-/// A predicted (or ground-truth) V/H congestion map artifact. Serialized
-/// through the shared text machinery, written via CheckedFileWriter (site
-/// "mapout"), so it caches / fault-injects like every other artifact.
+/// A predicted (or ground-truth) V/H congestion map artifact, written in the
+/// `hcp-map` text format via CheckedFileWriter (site "mapout"), so it
+/// fault-injects like every other artifact. Nothing reads a map back.
 struct MapPrediction {
   std::uint32_t width = 0;
   std::uint32_t height = 0;
@@ -72,21 +72,14 @@ struct MapPrediction {
 
   /// ASCII heat map, same glyph scale as fpga::CongestionMap::toAscii.
   std::string toAscii(bool vertical) const;
-  /// CSV with columns x,y,v_util,h_util (fig1_map_*.csv schema).
-  std::string toCsv() const;
 
   void write(std::ostream& os) const;
-  static MapPrediction read(std::istream& is);
 };
 
 void saveMapPrediction(const MapPrediction& map, std::ostream& os);
-/// Reads one map and rejects trailing garbage.
-MapPrediction loadMapPrediction(std::istream& is);
 /// Atomic, verified write (failpoint site "mapout"). Throws hcp::IoError.
 void saveMapPredictionToFile(const MapPrediction& map,
                              const std::string& path);
-/// Throws hcp::Error naming `path` on any parse failure.
-MapPrediction loadMapPredictionFromFile(const std::string& path);
 
 struct MapNetConfig {
   enum class Topology : std::uint8_t { kTileLinear, kConv };

@@ -29,30 +29,6 @@ double medianAbsoluteError(std::span<const double> actual,
   return median(absErrors(actual, predicted));
 }
 
-double rootMeanSquaredError(std::span<const double> actual,
-                            std::span<const double> predicted) {
-  HCP_CHECK(actual.size() == predicted.size() && !actual.empty());
-  double s = 0.0;
-  for (std::size_t i = 0; i < actual.size(); ++i) {
-    const double d = actual[i] - predicted[i];
-    s += d * d;
-  }
-  return std::sqrt(s / static_cast<double>(actual.size()));
-}
-
-double r2Score(std::span<const double> actual,
-               std::span<const double> predicted) {
-  HCP_CHECK(actual.size() == predicted.size() && !actual.empty());
-  const double m = mean(actual);
-  double ssRes = 0.0, ssTot = 0.0;
-  for (std::size_t i = 0; i < actual.size(); ++i) {
-    ssRes += (actual[i] - predicted[i]) * (actual[i] - predicted[i]);
-    ssTot += (actual[i] - m) * (actual[i] - m);
-  }
-  if (ssTot == 0.0) return ssRes == 0.0 ? 1.0 : 0.0;
-  return 1.0 - ssRes / ssTot;
-}
-
 std::vector<std::size_t> topFractionIndices(std::span<const double> values,
                                             double topFraction) {
   if (values.empty()) return {};

@@ -14,13 +14,6 @@ double meanAbsoluteError(std::span<const double> actual,
 double medianAbsoluteError(std::span<const double> actual,
                            std::span<const double> predicted);
 
-double rootMeanSquaredError(std::span<const double> actual,
-                            std::span<const double> predicted);
-
-/// Coefficient of determination; 1 is perfect, 0 is the mean predictor.
-double r2Score(std::span<const double> actual,
-               std::span<const double> predicted);
-
 /// Indices of the ceil(topFraction * n) largest values (at least one when the
 /// input is non-empty), with ties broken toward the lower index — fully
 /// deterministic, so hotspot sets compare exactly across runs and thread

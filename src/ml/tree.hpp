@@ -85,11 +85,10 @@ class RegressionTree {
   std::size_t numNodes() const { return nodes_.size(); }
   int depth() const;
 
-  /// Split statistics per feature index (importance inputs).
+  /// Splits per feature index (the importance input).
   const std::vector<std::uint32_t>& splitCounts() const {
     return splitCounts_;
   }
-  const std::vector<double>& splitGains() const { return splitGains_; }
 
   /// Text serialization (used by ml/serialize). read() rejects a tree that
   /// splits on a feature >= `numFeatures` or whose children are not later

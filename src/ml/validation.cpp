@@ -47,17 +47,4 @@ CvResult assemble(const std::vector<FoldScore>& scores) {
 
 }  // namespace detail
 
-CvResult crossValidate(
-    const std::function<std::unique_ptr<Regressor>()>& factory,
-    const Dataset& data, std::size_t k, std::uint64_t seed) {
-  HCP_SPAN("cross_validate");
-  HCP_CHECK(data.size() >= k);
-  const auto folds = kFoldSplits(data.size(), k, seed);
-  const auto scores =
-      support::parallelMapIndex(folds.size(), [&](std::size_t f) {
-        return detail::evaluateFold(factory, data, folds[f]);
-      });
-  return detail::assemble(scores);
-}
-
 }  // namespace hcp::ml

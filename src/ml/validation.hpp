@@ -4,15 +4,15 @@
 //
 // Grid search is generic over a config type: supply the candidate configs
 // and a factory building a Regressor from one; the winner minimizes mean
-// cross-validated MAE.
+// cross-validated MAE. Cross-validating a single model is a grid search over
+// a one-config grid.
 //
-// Both routines parallelize deterministically: crossValidate runs folds
-// concurrently, gridSearch runs every (config x fold) pair concurrently.
-// Folds are computed up front from the seed, per-task results merge by
-// index, and the best config is picked by a strictly-smaller comparison in
-// grid order — so any thread count (including HCP_THREADS=1) yields
-// bit-identical results. Factories must be safe to call concurrently (the
-// stateless lambdas used throughout this repo are).
+// gridSearch parallelizes deterministically: every (config x fold) pair is
+// its own task. Folds are computed up front from the seed, per-task results
+// merge by index, and the best config is picked by a strictly-smaller
+// comparison in grid order — so any thread count (including HCP_THREADS=1)
+// yields bit-identical results. Factories must be safe to call concurrently
+// (the stateless lambdas used throughout this repo are).
 #pragma once
 
 #include <functional>
@@ -51,11 +51,6 @@ FoldScore evaluateFold(
 CvResult assemble(const std::vector<FoldScore>& scores);
 
 }  // namespace detail
-
-/// Cross-validates `factory`-built models on `data` with `k` folds.
-CvResult crossValidate(
-    const std::function<std::unique_ptr<Regressor>()>& factory,
-    const Dataset& data, std::size_t k, std::uint64_t seed);
 
 template <typename Config>
 struct GridSearchResult {

@@ -148,8 +148,4 @@ std::string errorBody(std::string_view message) {
   return "\"ok\":false,\"error\":\"" + json::escape(message) + "\"}";
 }
 
-std::string errorResponse(const Request& r, std::string_view message) {
-  return responsePrefix(r) + errorBody(message);
-}
-
 }  // namespace hcp::serve

@@ -85,7 +85,4 @@ std::string responsePrefix(const Request& r);
 /// The body of an error response: `"ok":false,"error":"<escaped>"}`.
 std::string errorBody(std::string_view message);
 
-/// A complete error response line (no trailing newline).
-std::string errorResponse(const Request& r, std::string_view message);
-
 }  // namespace hcp::serve

@@ -63,6 +63,16 @@ std::optional<double> parseF64(std::string_view text) {
   return value;
 }
 
+std::uint64_t parseCount(std::string_view flag, std::string_view text,
+                         std::uint64_t minValue,
+                         void (*usageError)(const std::string& message)) {
+  const std::optional<std::uint64_t> value = parseU64(text);
+  if (value && *value >= minValue) return *value;
+  usageError(std::string(flag) + " expects an integer >= " +
+             std::to_string(minValue) + ", got '" + std::string(text) + "'");
+  std::abort();  // usageError exits
+}
+
 std::uint64_t u64OrDie(const char* var, std::uint64_t minValue,
                        std::uint64_t maxValue, std::uint64_t fallback) {
   const char* raw = std::getenv(var);

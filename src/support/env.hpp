@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
 
 namespace hcp::support::env {
@@ -31,6 +32,14 @@ std::optional<std::uint64_t> parseU64(std::string_view text);
 /// to infinity — the same fail-loudly contract as parseU64, for the flag
 /// parsers that used to accept whatever strtod truncated.
 std::optional<double> parseF64(std::string_view text);
+
+/// The value of integer flag `flag`: `text` parsed by parseU64 and at least
+/// `minValue`. Anything else calls `usageError` with "<flag> expects an
+/// integer >= <minValue>, got '<text>'"; `usageError` is the binary's
+/// usage-error exit and must not return.
+std::uint64_t parseCount(std::string_view flag, std::string_view text,
+                         std::uint64_t minValue,
+                         void (*usageError)(const std::string& message));
 
 /// Reads the integral environment variable `var`. Unset or empty returns
 /// `fallback`. A value that does not parse completely or lies outside

@@ -171,9 +171,8 @@ std::vector<std::string> sites() {
   return names;
 }
 
-std::string initFromArgs(int argc, char** argv) {
-  std::string spec =
-      telemetry::detail::flagValueOrDie(argc, argv, "failpoints");
+std::string initFromFlag(std::string flagValue) {
+  std::string spec = std::move(flagValue);
   if (spec.empty()) {
     if (const char* env = std::getenv("HCP_FAILPOINTS")) spec = env;
   }

@@ -69,12 +69,11 @@ std::uint64_t firedCount(std::string_view site);
 /// Configured entry names, in spec order (tests / diagnostics).
 std::vector<std::string> sites();
 
-/// Resolves the spec: `--failpoints SPEC` / `--failpoints=SPEC` on the
-/// command line, else the HCP_FAILPOINTS environment variable; configures
-/// when one is found and returns it ("" = disarmed). A malformed spec or a
-/// `--failpoints` with no value is a usage error: message to stderr, exit 2
-/// — mirroring --report/--trace/--cache.
-std::string initFromArgs(int argc, char** argv);
+/// Resolves the spec: `flagValue` (the `--failpoints` value the process shell
+/// scanned; "" = not given), else the HCP_FAILPOINTS environment variable;
+/// configures when one is found and returns it ("" = disarmed). A malformed
+/// spec is a usage error: message to stderr, exit 2.
+std::string initFromFlag(std::string flagValue);
 
 /// RAII spec override for tests: configures on construction, restores the
 /// previous spec on destruction.

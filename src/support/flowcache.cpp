@@ -144,8 +144,8 @@ std::string globalDir() {
   return globalSlot() == nullptr ? std::string() : globalSlot()->dir();
 }
 
-std::string initCacheFromArgs(int argc, char** argv) {
-  std::string dir = telemetry::detail::flagValueOrDie(argc, argv, "cache");
+std::string initCacheFromFlag(std::string flagValue) {
+  std::string dir = std::move(flagValue);
   if (dir.empty()) {
     if (const char* env = std::getenv("HCP_CACHE")) dir = env;
   }

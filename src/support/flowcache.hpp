@@ -100,12 +100,11 @@ void setGlobalDir(const std::string& dir);
 /// Current global cache directory ("" = off).
 std::string globalDir();
 
-/// Resolves the cache directory: `--cache DIR` / `--cache=DIR` on the
-/// command line, else the HCP_CACHE environment variable. Arms the global
-/// cache when a directory is found and returns it ("" = caching off). A
-/// `--cache` with no value or an empty `--cache=` is a usage error (exit 2),
-/// mirroring --report/--trace.
-std::string initCacheFromArgs(int argc, char** argv);
+/// Resolves the cache directory: `flagValue` (the `--cache` value the process
+/// shell scanned; "" = not given), else the HCP_CACHE environment variable.
+/// Arms the global cache when a directory is found and returns it ("" =
+/// caching off).
+std::string initCacheFromFlag(std::string flagValue);
 
 /// RAII global-cache override for tests.
 class ScopedCacheDir {

@@ -2,8 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <initializer_list>
 #include <string_view>
+#include <utility>
 
 #include "support/env.hpp"
 #include "support/error.hpp"
@@ -17,11 +17,21 @@ namespace hcp::support::process {
 
 namespace {
 
-/// `--threads N` / `--threads=N` (last occurrence wins) sets the global
-/// thread limit; the value must be a whole positive integer.
-void applyThreadsFlag(const char* tool, int argc, char** argv) {
-  const std::string value =
-      telemetry::detail::flagValueOrDie(argc, argv, "threads");
+/// The slot of shell flag `name` in `args`, or nullptr when `name` is not a
+/// shell flag in `mode`.
+std::string* slotOf(ShellArgs& args, Mode mode, std::string_view name) {
+  if (name == "failpoints") return &args.failpoints;
+  if (mode == Mode::kQuery) return nullptr;
+  if (name == "threads") return &args.threads;
+  if (name == "report") return &args.report;
+  if (name == "trace") return &args.trace;
+  if (name == "cache") return &args.cache;
+  return nullptr;
+}
+
+/// `--threads N` sets the global thread limit; the value must be a whole
+/// positive integer.
+void applyThreadsFlag(const char* tool, const std::string& value) {
   if (value.empty()) return;
   const auto n = env::parseU64(value);
   if (!n || *n == 0) {
@@ -33,44 +43,51 @@ void applyThreadsFlag(const char* tool, int argc, char** argv) {
   setThreadLimit(static_cast<std::size_t>(*n));
 }
 
-/// argv[1..] without each `--<flag> V` / `--<flag>=V` in `flags`. A bare
-/// flag always has its value token: flagValueOrDie exits 2 otherwise.
-std::vector<std::string> argsWithout(
-    int argc, char** argv, std::initializer_list<std::string_view> flags) {
-  std::vector<std::string> rest;
+}  // namespace
+
+ShellArgs scanArgs(const char* tool, Mode mode, int argc, char** argv) {
+  ShellArgs args;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    bool taken = false;
-    for (const std::string_view flag : flags) {
-      if (arg.substr(0, 2) != "--" || arg.substr(2, flag.size()) != flag)
-        continue;
-      const std::string_view tail = arg.substr(2 + flag.size());
-      if (tail.empty()) ++i;  // `--flag V`: the value token goes too
-      taken = tail.empty() || tail[0] == '=';
-      if (taken) break;       // else a longer name, e.g. --traces
+    const std::size_t eq = arg.find('=');
+    std::string* slot = arg.starts_with("--")
+                            ? slotOf(args, mode, arg.substr(2, eq - 2))
+                            : nullptr;
+    if (slot == nullptr) {
+      args.rest.emplace_back(arg);
+      continue;
     }
-    if (!taken) rest.emplace_back(arg);
+    const std::string flag(arg.substr(0, eq));
+    if (eq == std::string_view::npos) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "%s: %s expects a value\n", tool, flag.c_str());
+        std::exit(2);
+      }
+      *slot = argv[++i];
+    } else {
+      *slot = arg.substr(eq + 1);
+    }
+    if (slot->empty()) {
+      std::fprintf(stderr, "%s: %s expects a non-empty value\n", tool,
+                   flag.c_str());
+      std::exit(2);
+    }
   }
-  return rest;
+  return args;
 }
-
-}  // namespace
 
 Session::Session(const char* tool, Mode mode, int argc, char** argv) {
   report_.tool = tool;
   ignoreSigpipe();
   threadLimit();  // a malformed HCP_THREADS exits 2 here, before any work
-  if (mode == Mode::kRun) applyThreadsFlag(tool, argc, argv);
-  failpoint::initFromArgs(argc, argv);
-  if (mode == Mode::kQuery) {
-    args_ = argsWithout(argc, argv, {"failpoints"});
-    return;
-  }
-  reportPath_ = telemetry::initReportFromArgs(argc, argv);
-  tracePath_ = tracing::initTraceFromArgs(argc, argv);
-  flowcache::initCacheFromArgs(argc, argv);
-  args_ = argsWithout(argc, argv,
-                      {"threads", "failpoints", "report", "trace", "cache"});
+  ShellArgs shell = scanArgs(tool, mode, argc, argv);
+  applyThreadsFlag(tool, shell.threads);
+  failpoint::initFromFlag(std::move(shell.failpoints));
+  args_ = std::move(shell.rest);
+  if (mode == Mode::kQuery) return;
+  reportPath_ = telemetry::initReportFromFlag(std::move(shell.report));
+  tracePath_ = tracing::initTraceFromFlag(std::move(shell.trace));
+  flowcache::initCacheFromFlag(std::move(shell.cache));
 }
 
 void Session::finish() {

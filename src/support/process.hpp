@@ -7,11 +7,12 @@
 //   1. ignores SIGPIPE, so a reader hanging up fails a write visibly
 //      instead of killing the process, and resolves HCP_THREADS, so a
 //      malformed value exits 2 before any work runs;
-//   2. applies `--threads N` (a whole positive integer, else exit 2);
+//   2. scans argv once for the shell's flags (scanArgs), then applies
+//      `--threads N` (a whole positive integer, else exit 2);
 //   3. arms fault injection (`--failpoints SPEC` / HCP_FAILPOINTS), the run
 //      report (`--report FILE` / HCP_REPORT), the trace timeline
 //      (`--trace FILE` / HCP_TRACE) and the flow cache (`--cache DIR` /
-//      HCP_CACHE) through their init*FromArgs helpers;
+//      HCP_CACHE) through their init*FromFlag helpers;
 //   4. runs the body, which fills in session.report() (command, designs,
 //      seed) and parses session.args(): the arguments left once the
 //      shell's own flags are taken out;
@@ -20,9 +21,9 @@
 //      requested artifact or stream could not be written), hcp::Error → 1,
 //      any other std::exception → 3, printed as `<tool>: <kind>: <what>`.
 //
-// A malformed shell flag is a usage error: a message naming the flag and
-// exit 2. README "Process contract" and DESIGN.md §14 state the contract
-// for every binary.
+// A malformed shell flag is a usage error: `<tool>: --X expects ...` on
+// stderr and exit 2. README "Process contract" and DESIGN.md §14 state the
+// contract for every binary.
 #pragma once
 
 #include <functional>
@@ -38,6 +39,23 @@ namespace hcp::support::process {
 /// `--failpoints`: no report, trace or cache is armed or written, and
 /// `--threads`/`--report`/`--trace`/`--cache` stay in args() for the body.
 enum class Mode { kRun, kQuery };
+
+/// What one scan of argv found: each shell flag's value ("" when absent;
+/// the last occurrence wins) and argv[1..] without the flags and their
+/// values. In kQuery mode only `--failpoints` is a shell flag.
+struct ShellArgs {
+  std::string threads;
+  std::string failpoints;
+  std::string report;
+  std::string trace;
+  std::string cache;
+  std::vector<std::string> rest;
+};
+
+/// Scans argv[1..] once for `--<flag> V` and `--<flag>=V`. A flag with no
+/// value token prints `<tool>: --<flag> expects a value`, an empty value
+/// `<tool>: --<flag> expects a non-empty value`; both exit 2.
+ShellArgs scanArgs(const char* tool, Mode mode, int argc, char** argv);
 
 /// One binary run: the armed artifacts, the report metadata the body fills
 /// in, and the arguments the body still has to parse. Constructed by

@@ -55,13 +55,6 @@ std::uint64_t Rng::uniformInt(std::uint64_t bound) {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::uniformRange(std::int64_t lo, std::int64_t hi) {
-  HCP_CHECK(lo <= hi);
-  std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  if (span == 0) return static_cast<std::int64_t>(next());  // full 64-bit range
-  return lo + static_cast<std::int64_t>(uniformInt(span));
-}
-
 double Rng::uniformReal() {
   // 53 high bits → uniform in [0,1) with full double precision.
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
@@ -104,7 +97,5 @@ std::vector<std::size_t> Rng::permutation(std::size_t n) {
   shuffle(p);
   return p;
 }
-
-Rng Rng::fork() { return Rng(next()); }
 
 }  // namespace hcp

@@ -28,9 +28,6 @@ class Rng {
   /// sampling (Lemire) so the result is exactly uniform.
   std::uint64_t uniformInt(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniformRange(std::int64_t lo, std::int64_t hi);
-
   /// Uniform double in [0, 1).
   double uniformReal();
 
@@ -57,10 +54,6 @@ class Rng {
 
   /// A random permutation of [0, n).
   std::vector<std::size_t> permutation(std::size_t n);
-
-  /// Derives an independent child generator; used to give each pipeline stage
-  /// its own stream from one master seed.
-  Rng fork();
 
  private:
   std::uint64_t s_[4];

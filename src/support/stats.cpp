@@ -1,7 +1,7 @@
 #include "support/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <vector>
 
 #include "support/error.hpp"
 
@@ -12,14 +12,6 @@ double mean(std::span<const double> v) {
   double s = 0.0;
   for (double x : v) s += x;
   return s / static_cast<double>(v.size());
-}
-
-double stddev(std::span<const double> v) {
-  if (v.size() < 2) return 0.0;
-  const double m = mean(v);
-  double s = 0.0;
-  for (double x : v) s += (x - m) * (x - m);
-  return std::sqrt(s / static_cast<double>(v.size()));
 }
 
 double median(std::span<const double> v) {
@@ -56,52 +48,6 @@ double minOf(std::span<const double> v) {
 double maxOf(std::span<const double> v) {
   HCP_CHECK(!v.empty());
   return *std::max_element(v.begin(), v.end());
-}
-
-Summary summarize(std::span<const double> v) {
-  Summary s;
-  s.count = v.size();
-  if (v.empty()) return s;
-  s.min = minOf(v);
-  s.max = maxOf(v);
-  s.mean = mean(v);
-  s.median = median(v);
-  s.stddev = stddev(v);
-  return s;
-}
-
-std::vector<std::size_t> histogram(std::span<const double> v, double lo,
-                                   double hi, std::size_t bins) {
-  HCP_CHECK(bins > 0);
-  HCP_CHECK(hi > lo);
-  std::vector<std::size_t> h(bins, 0);
-  const double width = (hi - lo) / static_cast<double>(bins);
-  for (double x : v) {
-    double idx = (x - lo) / width;
-    std::size_t b = 0;
-    if (idx >= static_cast<double>(bins)) {
-      b = bins - 1;
-    } else if (idx > 0.0) {
-      b = static_cast<std::size_t>(idx);
-    }
-    ++h[b];
-  }
-  return h;
-}
-
-double pearson(std::span<const double> a, std::span<const double> b) {
-  HCP_CHECK(a.size() == b.size());
-  if (a.size() < 2) return 0.0;
-  const double ma = mean(a);
-  const double mb = mean(b);
-  double cov = 0.0, va = 0.0, vb = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    cov += (a[i] - ma) * (b[i] - mb);
-    va += (a[i] - ma) * (a[i] - ma);
-    vb += (b[i] - mb) * (b[i] - mb);
-  }
-  if (va == 0.0 || vb == 0.0) return 0.0;
-  return cov / std::sqrt(va * vb);
 }
 
 }  // namespace hcp

@@ -1,18 +1,13 @@
-// Small statistics helpers shared by the congestion-map analysis, the
-// dataset filter and the ML metrics.
+// Small statistics helpers shared by the back-trace label filter, the ML
+// metrics and the Table III summary rows.
 #pragma once
 
-#include <cstddef>
 #include <span>
-#include <vector>
 
 namespace hcp {
 
 /// Arithmetic mean; 0 for an empty span.
 double mean(std::span<const double> v);
-
-/// Population standard deviation; 0 for spans of size < 2.
-double stddev(std::span<const double> v);
 
 /// Median (average of the two middle elements for even sizes).
 /// Does not modify the input. 0 for an empty span.
@@ -23,25 +18,5 @@ double percentile(std::span<const double> v, double p);
 
 double minOf(std::span<const double> v);
 double maxOf(std::span<const double> v);
-
-/// Summary bundle used by the benchmark-property tables (Table III).
-struct Summary {
-  double min = 0.0;
-  double max = 0.0;
-  double mean = 0.0;
-  double median = 0.0;
-  double stddev = 0.0;
-  std::size_t count = 0;
-};
-
-Summary summarize(std::span<const double> v);
-
-/// Fixed-width histogram over [lo, hi) with `bins` buckets; values outside
-/// the range are clamped into the first/last bucket.
-std::vector<std::size_t> histogram(std::span<const double> v, double lo,
-                                   double hi, std::size_t bins);
-
-/// Pearson correlation coefficient; 0 if either side has zero variance.
-double pearson(std::span<const double> a, std::span<const double> b);
 
 }  // namespace hcp

@@ -1,5 +1,5 @@
-// String helpers used across the libraries (naming RTL cells, parsing
-// directive specs in examples, report formatting).
+// String joining, for lists in messages and report cells (the registry's
+// unknown-design error, Table II's example column).
 #pragma once
 
 #include <string>
@@ -8,20 +8,8 @@
 
 namespace hcp {
 
-/// Splits on a single-character delimiter; empty fields preserved.
-std::vector<std::string> split(std::string_view s, char delim);
-
-/// Strips ASCII whitespace from both ends.
-std::string trim(std::string_view s);
-
 /// Joins with a separator.
 std::string join(const std::vector<std::string>& parts,
                  std::string_view sep);
-
-/// True if `s` starts with `prefix`.
-bool startsWith(std::string_view s, std::string_view prefix);
-
-/// Lower-cases ASCII.
-std::string toLower(std::string_view s);
 
 }  // namespace hcp

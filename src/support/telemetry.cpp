@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <mutex>
@@ -385,37 +384,8 @@ void writeReportToFile(const std::string& path, RunReport meta) {
   writer.commit();
 }
 
-namespace detail {
-
-std::string flagValueOrDie(int argc, char** argv, std::string_view flag) {
-  const std::string bare = "--" + std::string(flag);
-  const std::string eq = bare + "=";
-  std::string path;
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (bare == a) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s expects a value\n", bare.c_str());
-        std::exit(2);
-      }
-      path = argv[++i];
-    } else if (std::strncmp(a, eq.c_str(), eq.size()) == 0) {
-      path = a + eq.size();
-    } else {
-      continue;
-    }
-    if (path.empty()) {
-      std::fprintf(stderr, "%s expects a non-empty value\n", bare.c_str());
-      std::exit(2);
-    }
-  }
-  return path;
-}
-
-}  // namespace detail
-
-std::string initReportFromArgs(int argc, char** argv) {
-  std::string path = detail::flagValueOrDie(argc, argv, "report");
+std::string initReportFromFlag(std::string flagValue) {
+  std::string path = std::move(flagValue);
   if (path.empty()) {
     if (const char* env = std::getenv("HCP_REPORT")) path = env;
   }

@@ -289,7 +289,7 @@ struct RunReport {
   std::vector<std::string> designs;   ///< design names this run touched
   std::uint64_t seed = 0;
   std::size_t threads = 1;
-  double totalWallMs = 0.0;           ///< 0 = fill from initReportFromArgs
+  double totalWallMs = 0.0;           ///< 0 = fill from initReportFromFlag
 };
 
 /// Writes the report JSON (meta + `snap`) to `os`.
@@ -297,25 +297,15 @@ void writeReport(std::ostream& os, const RunReport& meta,
                  const Snapshot& snap);
 
 /// Snapshots and writes to `path`. Throws hcp::Error if the file cannot be
-/// written. If meta.totalWallMs is 0 and initReportFromArgs ran, the elapsed
+/// written. If meta.totalWallMs is 0 and initReportFromFlag ran, the elapsed
 /// time since that call is filled in.
 void writeReportToFile(const std::string& path, RunReport meta);
 
-/// Resolves the report destination: `--report <path>` / `--report=<path>`
-/// on the command line, else the HCP_REPORT environment variable. Enables
-/// collection and records the start time when a path is found. Returns the
-/// path ("" = reporting off). Unrelated arguments are ignored, but a
-/// trailing `--report` with no value or an empty `--report=` is a usage
-/// error: a message goes to stderr and the process exits with code 2.
-std::string initReportFromArgs(int argc, char** argv);
-
-namespace detail {
-/// Shared flag-value extraction for the `--report`, `--trace`, `--cache`,
-/// `--failpoints` and `--threads` readers of the process shell: returns the value of
-/// `--<flag> V` / `--<flag>=V` (last occurrence wins), "" when absent. Exits
-/// with a usage error (code 2) when the flag is present with no value.
-std::string flagValueOrDie(int argc, char** argv, std::string_view flag);
-}  // namespace detail
+/// Resolves the report destination: `flagValue` (the `--report` value the
+/// process shell scanned; "" = not given), else the HCP_REPORT environment
+/// variable. Enables collection and records the start time when a path is
+/// found. Returns the path ("" = reporting off).
+std::string initReportFromFlag(std::string flagValue);
 
 }  // namespace hcp::support::telemetry
 

@@ -250,8 +250,8 @@ bool autoFlush() {
   return true;
 }
 
-std::string initTraceFromArgs(int argc, char** argv) {
-  std::string path = telemetry::detail::flagValueOrDie(argc, argv, "trace");
+std::string initTraceFromFlag(std::string flagValue) {
+  std::string path = std::move(flagValue);
   if (path.empty()) {
     if (const char* env = std::getenv("HCP_TRACE")) path = env;
   }

@@ -90,13 +90,11 @@ void configureAutoFlush(std::string path, TraceMeta meta);
 /// contract as writeChromeTrace.
 bool autoFlush();
 
-/// Resolves the trace destination: `--trace <path>` / `--trace=<path>` on
-/// the command line, else the HCP_TRACE environment variable. When a path
-/// is found, applies HCP_TRACE_BUFFER_EVENTS (exit 2 when malformed) and
-/// enables tracing plus telemetry collection — spans must be live for
-/// events to exist. Returns the path ("" = tracing off). A trailing
-/// `--trace` with no value or an empty `--trace=` is a usage error: message
-/// to stderr, exit code 2.
-std::string initTraceFromArgs(int argc, char** argv);
+/// Resolves the trace destination: `flagValue` (the `--trace` value the
+/// process shell scanned; "" = not given), else the HCP_TRACE environment
+/// variable. When a path is found, applies HCP_TRACE_BUFFER_EVENTS (exit 2
+/// when malformed) and enables tracing plus telemetry collection — spans
+/// must be live for events to exist. Returns the path ("" = tracing off).
+std::string initTraceFromFlag(std::string flagValue);
 
 }  // namespace hcp::support::tracing

@@ -8,7 +8,8 @@
 #     moves and router iterations;
 #   - usage errors exit 2: a non-numeric --seed, an unknown flag, --report
 #     without a value, an empty --trace=, and a --topology other than
-#     tilelinear|conv;
+#     tilelinear|conv; a process-shell flag's message carries the
+#     `hcp_cli: ` prefix;
 #   - integer flags are strict: a signed, space-padded or negative --seed,
 #     --threads or --epochs exits 2;
 #   - a truncated model exits 1;
@@ -34,7 +35,10 @@ need '"router_iterations": [1-9]' report.json
 expect_exit 2 "$cli" flow face_detection --seed abc
 expect_exit 2 "$cli" flow face_detection --bogus-flag
 expect_exit 2 "$cli" flow face_detection --report
+expect_exit 2 "$cli" flow spam_filter --report
+need '^hcp_cli: --report expects a value$' err.txt
 expect_exit 2 "$cli" flow face_detection --trace=
+need '^hcp_cli: --trace expects a non-empty value$' err.txt
 expect_exit 2 "$cli" train-map m.hcp spam_filter --topology lattice
 need 'topology' err.txt
 [ ! -e m.hcp ] || fail "rejected train-map wrote m.hcp"

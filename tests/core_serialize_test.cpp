@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <vector>
 
 #include "apps/digit_spam.hpp"
 #include "apps/face_detection.hpp"
@@ -23,26 +24,29 @@ class CoreSerializeTest : public ::testing::Test {
     cfg.stages = 4;
     cfg.windowTrip = 64;
     cfg.fillTrip = 64;
-    faceFlow_ = new FlowResult(
-        runFlow(apps::faceDetection(cfg), *device_, {}));
     apps::DigitRecognitionConfig digitCfg;
     digitCfg.trainingSize = 128;
     digitCfg.unroll = 8;
-    digitFlow_ = new FlowResult(
-        runFlow(apps::digitRecognition(digitCfg), *device_, {}));
+    flows_ = new std::vector<FlowResult>();
+    flows_->reserve(2);
+    flows_->push_back(runFlow(apps::faceDetection(cfg), *device_, {}));
+    flows_->push_back(runFlow(apps::digitRecognition(digitCfg), *device_, {}));
+    faceFlow_ = &(*flows_)[0];
+    digitFlow_ = &(*flows_)[1];
   }
   static void TearDownTestSuite() {
-    delete faceFlow_;
-    delete digitFlow_;
+    delete flows_;
     delete device_;
   }
 
   static fpga::Device* device_;
+  static std::vector<FlowResult>* flows_;  ///< face, then digit
   static FlowResult* faceFlow_;
   static FlowResult* digitFlow_;
 };
 
 fpga::Device* CoreSerializeTest::device_ = nullptr;
+std::vector<FlowResult>* CoreSerializeTest::flows_ = nullptr;
 FlowResult* CoreSerializeTest::faceFlow_ = nullptr;
 FlowResult* CoreSerializeTest::digitFlow_ = nullptr;
 
@@ -76,19 +80,44 @@ TEST_F(CoreSerializeTest, SaveUntrainedThrows) {
   EXPECT_THROW(predictor.save("nope.hcp"), hcp::Error);
 }
 
+// Enriching a dataset with another design's flow is buildDataset over both
+// flows: the first flow's rows, then the second's, with the filter counts
+// summed.
 TEST_F(CoreSerializeTest, EnrichmentAppendsRows) {
-  auto base = buildDataset(*faceFlow_, {});
+  const auto base = buildDataset(*faceFlow_, {});
   const auto extra = buildDataset(*digitFlow_, {});
-  const std::size_t before = base.vertical.size();
-  enrichDataset(base, extra);
-  EXPECT_EQ(base.vertical.size(), before + extra.vertical.size());
-  EXPECT_EQ(base.samples.size(), base.vertical.size());
+  const auto both = buildDataset(*flows_, {});
+  const auto expectAppended = [](const ml::Dataset& all, const ml::Dataset& a,
+                                 const ml::Dataset& b) {
+    ASSERT_EQ(all.size(), a.size() + b.size());
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      const bool first = i < a.size();
+      const std::size_t j = first ? i : i - a.size();
+      EXPECT_EQ(all.row(i), first ? a.row(j) : b.row(j)) << "row " << i;
+      EXPECT_EQ(all.target(i), first ? a.target(j) : b.target(j)) << i;
+    }
+  };
+  expectAppended(both.vertical, base.vertical, extra.vertical);
+  expectAppended(both.horizontal, base.horizontal, extra.horizontal);
+  expectAppended(both.average, base.average, extra.average);
+  ASSERT_EQ(both.samples.size(), both.vertical.size());
+  for (std::size_t i = 0; i < both.samples.size(); ++i) {
+    const bool first = i < base.samples.size();
+    const trace::Sample& want =
+        first ? base.samples[i] : extra.samples[i - base.samples.size()];
+    EXPECT_EQ(both.samples[i].functionIndex, want.functionIndex) << i;
+    EXPECT_EQ(both.samples[i].op, want.op) << i;
+  }
+  EXPECT_EQ(both.filterStats.total,
+            base.filterStats.total + extra.filterStats.total);
+  EXPECT_EQ(both.filterStats.marginal,
+            base.filterStats.marginal + extra.filterStats.marginal);
 }
 
 TEST_F(CoreSerializeTest, EnrichmentImprovesTargetAccuracy) {
   // Paper §III: with few training apps, one flow of the target design
   // enriches the dataset and improves its estimation accuracy.
-  auto trainData = buildDataset(*faceFlow_, {});
+  const auto trainData = buildDataset(*faceFlow_, {});
   const auto targetData = buildDataset(*digitFlow_, {});
 
   PredictorOptions opts;
@@ -107,8 +136,7 @@ TEST_F(CoreSerializeTest, EnrichmentImprovesTargetAccuracy) {
   };
 
   const double before = evalOnTarget(trainData);
-  enrichDataset(trainData, targetData);
-  const double after = evalOnTarget(trainData);
+  const double after = evalOnTarget(buildDataset(*flows_, {}));
   EXPECT_LT(after, before);
 }
 

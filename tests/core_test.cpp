@@ -141,18 +141,6 @@ TEST_F(CoreTest, UntrainedPredictorThrows) {
   EXPECT_THROW(predictor.findHotspots(flow_->design, {}, 3), hcp::Error);
 }
 
-TEST_F(CoreTest, FeatureImportanceOnlyForGbrt) {
-  CongestionPredictor gbrt{PredictorOptions{}};
-  gbrt.train(*data_);
-  EXPECT_EQ(gbrt.featureImportance().size(), 302u);
-
-  PredictorOptions linOpts;
-  linOpts.kind = ModelKind::Linear;
-  CongestionPredictor linear(linOpts);
-  linear.train(*data_);
-  EXPECT_TRUE(linear.featureImportance().empty());
-}
-
 TEST_F(CoreTest, ResolverSuggestsRemovingInline) {
   CongestionPredictor predictor{PredictorOptions{}};
   predictor.train(*data_);

@@ -279,52 +279,5 @@ TEST(Inline, CalleeArraysCopiedPerSite) {
   ir::verifyOrThrow(mod);
 }
 
-// --- replication (case-study step 2) -------------------------------------
-
-TEST(ReplicateArray, RedistributesLoads) {
-  auto fn = std::make_unique<Function>("f");
-  Builder b(*fn);
-  const auto in = b.inPort("i", 16);
-  const auto out = b.outPort("o", 16);
-  const auto arr = b.array("shared", 32, 16);
-  const OpId x = b.readPort(in);
-  b.store(arr, b.constant(0, 8), x);
-  OpId acc = b.load(arr, b.constant(1, 8));
-  for (int i = 2; i < 8; ++i)
-    acc = b.add(acc, b.load(arr, b.constant(i, 8)));
-  b.writePort(out, acc);
-  b.ret();
-
-  const auto replicas = replicateArray(*fn, arr, 2);
-  ASSERT_EQ(replicas.size(), 2u);
-  ir::verifyOrThrow(*fn);
-
-  std::map<ir::ArrayId, int> loadsPerArray;
-  for (OpId id = 0; id < fn->numOps(); ++id)
-    if (fn->op(id).opcode == Opcode::Load &&
-        fn->op(id).loop == ir::kRootRegion)
-      ++loadsPerArray[fn->op(id).array];
-  // The 7 original loads split between the two replicas; none remain on the
-  // original outside the copy loop.
-  EXPECT_EQ(loadsPerArray.count(arr), 0u);
-  EXPECT_EQ(loadsPerArray[replicas[0]] + loadsPerArray[replicas[1]], 7);
-  EXPECT_GE(loadsPerArray[replicas[0]], 3);
-}
-
-TEST(ReplicateArray, AddsPipelinedCopyLoop) {
-  auto fn = std::make_unique<Function>("f");
-  Builder b(*fn);
-  const auto arr = b.array("shared", 16, 8);
-  const OpId v = b.constant(5, 8);
-  b.store(arr, b.constant(0, 8), v);
-  b.ret();
-  const std::size_t loopsBefore = fn->numLoops();
-  replicateArray(*fn, arr, 3);
-  ASSERT_EQ(fn->numLoops(), loopsBefore + 1);
-  const auto& loop = fn->loop(static_cast<ir::LoopId>(loopsBefore));
-  EXPECT_TRUE(loop.pipelined);
-  EXPECT_EQ(loop.tripCount, 16u);
-}
-
 }  // namespace
 }  // namespace hcp::hls

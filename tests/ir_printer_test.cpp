@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "apps/face_detection.hpp"
 #include "hls/transforms.hpp"
 #include "ir/builder.hpp"
@@ -26,8 +29,15 @@ Function makeFn() {
   return fn;
 }
 
+/// Prints `fn` as the only function of a module.
+std::string printFn(const Function& fn, const PrintOptions& options = {}) {
+  Module mod("m");
+  mod.addFunction(std::make_unique<Function>(fn));
+  return print(mod, options);
+}
+
 TEST(Printer, ContainsStructure) {
-  const std::string text = print(makeFn());
+  const std::string text = printFn(makeFn());
   EXPECT_NE(text.find("func demo {"), std::string::npos);
   EXPECT_NE(text.find("port in x :16"), std::string::npos);
   EXPECT_NE(text.find("port out y :16"), std::string::npos);
@@ -38,7 +48,7 @@ TEST(Printer, ContainsStructure) {
 }
 
 TEST(Printer, ShowsLoopAndLineAnnotations) {
-  const std::string text = print(makeFn());
+  const std::string text = printFn(makeFn());
   EXPECT_NE(text.find("loop=1"), std::string::npos);
   EXPECT_NE(text.find("line=5"), std::string::npos);
 }
@@ -47,7 +57,7 @@ TEST(Printer, OptionsSuppressAnnotations) {
   PrintOptions options;
   options.sourceLines = false;
   options.loopBodies = false;
-  const std::string text = print(makeFn(), options);
+  const std::string text = printFn(makeFn(), options);
   EXPECT_EQ(text.find("line="), std::string::npos);
   EXPECT_EQ(text.find("loop="), std::string::npos);
 }
@@ -59,7 +69,7 @@ TEST(Printer, PartialBitUseMarked) {
   const OpId x = b.readPort(in);
   b.trunc(x, 8);
   b.ret();
-  const std::string text = print(fn);
+  const std::string text = printFn(fn);
   EXPECT_NE(text.find("[8b]"), std::string::npos);
 }
 
@@ -68,7 +78,7 @@ TEST(Printer, UnrollOriginsOptIn) {
   hls::unrollLoop(fn, 1, 2);
   PrintOptions options;
   options.unrollOrigins = true;
-  const std::string text = print(fn, options);
+  const std::string text = printFn(fn, options);
   EXPECT_NE(text.find("origin=%"), std::string::npos);
   EXPECT_NE(text.find("replica="), std::string::npos);
 }
@@ -85,7 +95,7 @@ TEST(Printer, ModulePrintsAllFunctions) {
 
 TEST(Printer, StableAcrossCalls) {
   const auto fn = makeFn();
-  EXPECT_EQ(print(fn), print(fn));
+  EXPECT_EQ(printFn(fn), printFn(fn));
 }
 
 }  // namespace

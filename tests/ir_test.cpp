@@ -118,8 +118,8 @@ TEST(Builder, LoopNesting) {
   b.endLoop();
   b.ret();
   EXPECT_EQ(fn.loop(inner).parent, outer);
-  EXPECT_EQ(fn.iterationProduct(c), 40u);
-  EXPECT_EQ(fn.iterationProduct(c2), 10u);
+  EXPECT_TRUE(fn.inLoop(c, outer));
+  EXPECT_FALSE(fn.inLoop(c2, inner));
 }
 
 TEST(Builder, EndLoopWithoutBeginThrows) {

@@ -28,6 +28,16 @@ Dataset linearData(std::size_t n, std::uint64_t seed) {
   return data;
 }
 
+/// k-fold cross-validation of one model: a grid search over a one-config
+/// grid, whose only result is that model's scores.
+CvResult crossValidate(
+    const std::function<std::unique_ptr<Regressor>()>& factory,
+    const Dataset& data, std::size_t k, std::uint64_t seed) {
+  return gridSearch<int>({0}, [&](const int&) { return factory(); }, data, k,
+                         seed)
+      .bestCv;
+}
+
 TEST(CrossValidate, RunsAllFolds) {
   const auto data = linearData(200, 1);
   const CvResult cv = crossValidate(

@@ -4,7 +4,8 @@
 #   sh serve_exit_codes.sh HCP_SERVE
 #
 # Checks, in order:
-#   - an unknown flag exits 2;
+#   - an unknown flag exits 2, and so does a bare trailing --threads, with
+#     the `hcp_serve: ` prefix on its message;
 #   - a model that cannot be loaded exits 1;
 #   - a response written to a full stdout exits 5 with the stream named
 #     <stdout>, as hcp_cli's exit-5 messages name theirs;
@@ -16,6 +17,8 @@ serve=$(abspath "$1")
 enter_work_dir
 
 expect_exit 2 "$serve" --bogus-flag
+expect_exit 2 "$serve" --threads
+need '^hcp_serve: --threads expects a value$' err.txt
 expect_exit 1 "$serve" --model missing.hcp
 
 printf '{"op":"status"}\n' | "$serve" > /dev/full 2> err.txt

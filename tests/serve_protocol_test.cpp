@@ -143,7 +143,13 @@ TEST(ServeProtocol, IdSurvivesRejection) {
   const auto p = parseRequest(R"({"id":"r7","op":"frobnicate"})");
   EXPECT_FALSE(p.ok);
   EXPECT_EQ(p.request.id, "r7");
-  EXPECT_EQ(errorResponse(p.request, p.error).substr(0, 12), "{\"id\":\"r7\",\"");
+  // The server's error response echoes it.
+  Server server({});
+  const auto out =
+      lines(serveAll(server, R"({"id":"r7","op":"frobnicate"})" "\n"));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].substr(0, 12), "{\"id\":\"r7\",\"");
+  EXPECT_NE(out[0].find("\"ok\":false"), std::string::npos);
 }
 
 TEST(ServeProtocol, WorkKeyIgnoresIdAndSeparatesEverythingElse) {

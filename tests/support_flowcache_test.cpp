@@ -22,7 +22,9 @@
 
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -37,6 +39,7 @@
 #include "core/predictor.hpp"
 #include "support/failpoint.hpp"
 #include "support/flowcache.hpp"
+#include "support/textio.hpp"
 #include "support/telemetry.hpp"
 #include "test_util.hpp"
 
@@ -692,6 +695,33 @@ TEST_F(FailureMatrix, ReadOnlyCacheDirDegradesEveryStore) {
   EXPECT_EQ(counter(telemetry::Counter::FlowCacheStoreError), 1u);
   fs::permissions(scratch.dir(), fs::perms::owner_all,
                   fs::perm_options::replace);
+}
+
+// A real (not injected) open failure, which permission bits cannot give
+// when the tests run as root: the cache directory is replaced by a regular
+// file after the cache was constructed, so the writer's open fails with
+// ENOTDIR for any user.
+TEST_F(FailureMatrix, CacheDirReplacedByFileDegradesStore) {
+  TempCacheDir scratch("flowcache_notdir");
+  const fc::FlowCache cache(scratch.dir());
+  fs::remove_all(scratch.dir());
+  std::ofstream(scratch.dir()).close();
+  ASSERT_TRUE(fs::is_regular_file(scratch.dir()));
+
+  try {
+    support::txt::CheckedFileWriter probe(scratch.dir() + "/probe", "probe");
+    FAIL() << "opened a file under a regular file";
+  } catch (const hcp::IoError& e) {
+    EXPECT_NE(std::string(e.what()).find(std::strerror(ENOTDIR)),
+              std::string::npos)
+        << e.what();
+  }
+
+  EXPECT_FALSE(cache.store("00deadbeef00cafe", "payload"));
+  EXPECT_EQ(counter(telemetry::Counter::FlowCacheStoreError), 1u);
+  EXPECT_EQ(counter(telemetry::Counter::FlowCacheWrite), 0u);
+  EXPECT_TRUE(fs::is_regular_file(scratch.dir()));
+  EXPECT_EQ(fs::file_size(scratch.dir()), 0u);  // nothing was written
 }
 
 // --- plumbing ---------------------------------------------------------------

@@ -244,15 +244,24 @@ TEST(Determinism, GridSearchIsBitIdenticalAcrossThreadCounts) {
 
 TEST(Determinism, CrossValidateMatchesAcrossThreadCounts) {
   const auto data = syntheticData(200, 41);
-  const auto factory = [] { return std::make_unique<ml::LassoRegression>(); };
+  // Cross-validation of one model is a grid search over a one-config grid.
+  const auto crossValidate = [&] {
+    return ml::gridSearch<int>(
+               {0},
+               [](const int&) {
+                 return std::make_unique<ml::LassoRegression>();
+               },
+               data, 5, 7)
+        .bestCv;
+  };
   ml::CvResult serial, parallel;
   {
     ScopedThreadLimit limit(1);
-    serial = ml::crossValidate(factory, data, 5, 7);
+    serial = crossValidate();
   }
   {
     ScopedThreadLimit limit(8);
-    parallel = ml::crossValidate(factory, data, 5, 7);
+    parallel = crossValidate();
   }
   ASSERT_EQ(serial.foldMae.size(), parallel.foldMae.size());
   for (std::size_t f = 0; f < serial.foldMae.size(); ++f)

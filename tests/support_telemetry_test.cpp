@@ -6,9 +6,12 @@
 #include <cmath>
 #include <cstring>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "support/json.hpp"
 #include "support/parallel.hpp"
+#include "support/process.hpp"
 #include "support/telemetry.hpp"
 
 namespace hcp::support::telemetry {
@@ -295,30 +298,44 @@ TEST_F(TelemetryTest, ReportDoublesRoundTripBitExactly) {
   EXPECT_EQ(std::memcmp(&sum, &expected, sizeof(double)), 0);
 }
 
+// The process shell reads --report (and its other flags) in one argv scan.
+process::ShellArgs scan(process::Mode mode, std::vector<const char*> argv) {
+  return process::scanArgs("tool", mode, static_cast<int>(argv.size()),
+                           const_cast<char**>(argv.data()));
+}
+
+using Words = std::vector<std::string>;
+
 TEST(TelemetryFlags, ReportFlagParsesBothSpellings) {
-  const char* argv1[] = {"tool", "--report", "a.json"};
-  EXPECT_EQ(detail::flagValueOrDie(3, const_cast<char**>(argv1), "report"),
-            "a.json");
-  const char* argv2[] = {"tool", "--report=b.json"};
-  EXPECT_EQ(detail::flagValueOrDie(2, const_cast<char**>(argv2), "report"),
-            "b.json");
-  const char* argv3[] = {"tool", "--report=a.json", "--report", "c.json"};
-  EXPECT_EQ(detail::flagValueOrDie(4, const_cast<char**>(argv3), "report"),
-            "c.json");  // last occurrence wins
-  const char* argv4[] = {"tool", "run"};
-  EXPECT_EQ(detail::flagValueOrDie(2, const_cast<char**>(argv4), "report"),
-            "");
+  using process::Mode;
+  const auto both = scan(Mode::kRun, {"tool", "--report", "a.json", "run",
+                                      "--trace=t.json", "--seed", "7"});
+  EXPECT_EQ(both.report, "a.json");
+  EXPECT_EQ(both.trace, "t.json");
+  EXPECT_EQ(both.rest, (Words{"run", "--seed", "7"}));
+  const auto last = scan(Mode::kRun, {"tool", "--report=a.json", "--report",
+                                      "c.json", "--cache=d"});
+  EXPECT_EQ(last.report, "c.json");  // last occurrence wins
+  EXPECT_EQ(last.cache, "d");
+  EXPECT_TRUE(last.rest.empty());
+  const auto absent = scan(Mode::kRun, {"tool", "run", "--reports=x"});
+  EXPECT_EQ(absent.report, "");  // a longer name is not the flag
+  EXPECT_EQ(absent.rest, (Words{"run", "--reports=x"}));
+  // kQuery takes only --failpoints; the rest stays for the body.
+  const auto query =
+      scan(Mode::kQuery, {"tool", "--report", "r.json", "--failpoints=s:1"});
+  EXPECT_EQ(query.failpoints, "s:1");
+  EXPECT_EQ(query.report, "");
+  EXPECT_EQ(query.rest, (Words{"--report", "r.json"}));
 }
 
 TEST(TelemetryFlagsDeathTest, TrailingFlagWithoutValueExitsWithUsageError) {
-  const char* trailing[] = {"tool", "--report"};
-  EXPECT_EXIT((void)detail::flagValueOrDie(2, const_cast<char**>(trailing),
-                                           "report"),
-              ::testing::ExitedWithCode(2), "--report expects a value");
-  const char* empty[] = {"tool", "--trace="};
-  EXPECT_EXIT(
-      (void)detail::flagValueOrDie(2, const_cast<char**>(empty), "trace"),
-      ::testing::ExitedWithCode(2), "--trace expects a non-empty value");
+  using process::Mode;
+  EXPECT_EXIT((void)scan(Mode::kRun, {"tool", "--report"}),
+              ::testing::ExitedWithCode(2), "tool: --report expects a value");
+  EXPECT_EXIT((void)scan(Mode::kRun, {"tool", "--trace="}),
+              ::testing::ExitedWithCode(2),
+              "tool: --trace expects a non-empty value");
 }
 
 // Thousands of tiny back-to-back batches (the GBRT training pattern):

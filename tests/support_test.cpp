@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "support/env.hpp"
@@ -61,20 +60,6 @@ TEST(Rng, UniformRealInUnitInterval) {
   }
 }
 
-TEST(Rng, UniformRangeInclusive) {
-  Rng rng(9);
-  bool sawLo = false, sawHi = false;
-  for (int i = 0; i < 2000; ++i) {
-    const auto v = rng.uniformRange(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    sawLo |= v == -3;
-    sawHi |= v == 3;
-  }
-  EXPECT_TRUE(sawLo);
-  EXPECT_TRUE(sawHi);
-}
-
 TEST(Rng, NormalMoments) {
   Rng rng(13);
   double sum = 0.0, sq = 0.0;
@@ -101,21 +86,12 @@ TEST(Rng, PermutationIsPermutation) {
   for (std::size_t i = 0; i < 50; ++i) EXPECT_EQ(p[i], i);
 }
 
-TEST(Rng, ForkIndependentStreams) {
-  Rng a(42);
-  Rng child = a.fork();
-  // Child continues deterministically; identical reconstruction matches.
-  Rng b(42);
-  Rng child2 = b.fork();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(child.next(), child2.next());
-}
-
 // --- stats ---------------------------------------------------------------
 
-TEST(Stats, MeanAndStddev) {
+TEST(Stats, MeanOfValues) {
   const std::vector<double> v{1, 2, 3, 4};
   EXPECT_DOUBLE_EQ(mean(v), 2.5);
-  EXPECT_NEAR(stddev(v), std::sqrt(1.25), 1e-12);
+  EXPECT_DOUBLE_EQ(mean(std::vector<double>{}), 0.0);
 }
 
 TEST(Stats, MedianOddEven) {
@@ -136,57 +112,11 @@ TEST(Stats, PercentileEndpoints) {
   EXPECT_DOUBLE_EQ(percentile(v, 50), 25.0);
 }
 
-TEST(Stats, SummarizeCounts) {
-  const std::vector<double> v{2, 8, 5};
-  const Summary s = summarize(v);
-  EXPECT_EQ(s.count, 3u);
-  EXPECT_DOUBLE_EQ(s.min, 2);
-  EXPECT_DOUBLE_EQ(s.max, 8);
-  EXPECT_DOUBLE_EQ(s.mean, 5);
-}
-
-TEST(Stats, HistogramClampsOutliers) {
-  const std::vector<double> v{-5, 0.5, 1.5, 99};
-  const auto h = histogram(v, 0.0, 2.0, 2);
-  EXPECT_EQ(h[0], 2u);  // -5 clamped into first bucket
-  EXPECT_EQ(h[1], 2u);  // 99 clamped into last
-}
-
-TEST(Stats, PearsonPerfectCorrelation) {
-  const std::vector<double> a{1, 2, 3, 4};
-  const std::vector<double> b{2, 4, 6, 8};
-  EXPECT_NEAR(pearson(a, b), 1.0, 1e-12);
-  const std::vector<double> c{8, 6, 4, 2};
-  EXPECT_NEAR(pearson(a, c), -1.0, 1e-12);
-}
-
-TEST(Stats, PearsonZeroVariance) {
-  const std::vector<double> a{1, 1, 1};
-  const std::vector<double> b{1, 2, 3};
-  EXPECT_DOUBLE_EQ(pearson(a, b), 0.0);
-}
-
 // --- strings ---------------------------------------------------------------
-
-TEST(Strings, SplitPreservesEmptyFields) {
-  const auto parts = split("a,,b", ',');
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[1], "");
-}
-
-TEST(Strings, TrimBothEnds) {
-  EXPECT_EQ(trim("  x y \t\n"), "x y");
-  EXPECT_EQ(trim("   "), "");
-}
 
 TEST(Strings, JoinRoundTrip) {
   EXPECT_EQ(join({"a", "b", "c"}, "::"), "a::b::c");
   EXPECT_EQ(join({}, ","), "");
-}
-
-TEST(Strings, StartsWith) {
-  EXPECT_TRUE(startsWith("hcp_core", "hcp"));
-  EXPECT_FALSE(startsWith("hc", "hcp"));
 }
 
 // --- table -----------------------------------------------------------------

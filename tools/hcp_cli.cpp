@@ -123,18 +123,6 @@ int checkStdout() {
   return 0;
 }
 
-/// Strict parse for integer flags (support/env.hpp): the whole token must be
-/// digits, so `--seed abc`, `--seed -1` or `--seed +7` is a usage error,
-/// not a silent zero or a value wrapped to 2^64-1.
-std::uint64_t parseCount(const std::string& flag, const std::string& text,
-                         std::uint64_t minValue) {
-  const auto n = support::env::parseU64(text);
-  if (!n || *n < minValue)
-    usageError(flag + " expects an integer >= " + std::to_string(minValue) +
-               ", got '" + text + "'");
-  return *n;
-}
-
 struct Args {
   std::vector<std::string> positional;
   std::uint64_t seed = 42;
@@ -164,7 +152,7 @@ Args parse(const std::vector<std::string>& argv) {
   for (std::size_t i = 1; i < argv.size(); ++i) {
     const std::string& a = argv[i];
     if (a == "--seed") {
-      args.seed = parseCount(a, value(i), 0);
+      args.seed = support::env::parseCount(a, value(i), 0, usageError);
     } else if (a == "--shard-dir") {
       args.shardDir = nonEmpty(i);
     } else if (a.rfind("--shard-dir=", 0) == 0) {
@@ -183,7 +171,7 @@ Args parse(const std::vector<std::string>& argv) {
         usageError("--topology expects tilelinear or conv, got '" +
                    args.topology + "'");
     } else if (a == "--epochs") {
-      args.epochs = parseCount(a, value(i), 1);
+      args.epochs = support::env::parseCount(a, value(i), 1, usageError);
     } else if (a == "--map-out") {
       args.mapOut = nonEmpty(i);
     } else if (a.rfind("--", 0) == 0) {

@@ -86,19 +86,12 @@ int usage() {
   std::exit(usage());
 }
 
+using support::env::parseCount;
+
 struct Args {
   serve::ServerConfig config;
   std::string socketPath;
 };
-
-std::uint64_t parseCount(const std::string& flag, const std::string& value,
-                         std::uint64_t minValue) {
-  const auto parsed = support::env::parseU64(value);
-  if (!parsed || *parsed < minValue)
-    usageError(flag + " expects an integer >= " + std::to_string(minValue) +
-               ", got '" + value + "'");
-  return *parsed;
-}
 
 /// Parses the arguments the process shell left after taking out its own
 /// flags.
@@ -127,21 +120,24 @@ Args parse(const std::vector<std::string>& argv) {
     } else if (arg == "--socket") {
       args.socketPath = need();
     } else if (arg == "--max-batch") {
-      args.config.maxBatch = static_cast<std::size_t>(parseCount(arg, need(), 1));
+      args.config.maxBatch =
+          static_cast<std::size_t>(parseCount(arg, need(), 1, usageError));
     } else if (arg == "--queue-depth") {
       args.config.queueDepth =
-          static_cast<std::size_t>(parseCount(arg, need(), 1));
+          static_cast<std::size_t>(parseCount(arg, need(), 1, usageError));
     } else if (arg == "--max-line-bytes") {
       args.config.maxLineBytes =
-          static_cast<std::size_t>(parseCount(arg, need(), 1));
+          static_cast<std::size_t>(parseCount(arg, need(), 1, usageError));
     } else if (arg == "--status-every") {
-      args.config.statusEveryBatches = parseCount(arg, need(), 1);
+      args.config.statusEveryBatches =
+          parseCount(arg, need(), 1, usageError);
     } else if (arg == "--tick-ns") {
-      args.config.tickNs = parseCount(arg, need(), 1);
+      args.config.tickNs = parseCount(arg, need(), 1, usageError);
     } else if (arg == "--metrics-out") {
       args.config.metricsOutPath = need();
     } else if (arg == "--metrics-interval") {
-      args.config.metricsInterval = parseCount(arg, need(), 1);
+      args.config.metricsInterval =
+          parseCount(arg, need(), 1, usageError);
     } else {
       usageError("unknown argument '" + arg + "'");
     }

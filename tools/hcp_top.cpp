@@ -39,6 +39,8 @@ int usage() {
   std::exit(usage());
 }
 
+using support::env::parseCount;
+
 struct Args {
   std::string socketPath;
   std::uint64_t watchSeconds = 0;  ///< 0 = one-shot
@@ -64,19 +66,12 @@ Args parse(int argc, char** argv) {
       }
       return value;
     };
-    auto needCount = [&](std::uint64_t minValue) {
-      const auto parsed = support::env::parseU64(need());
-      if (!parsed || *parsed < minValue)
-        usageError(arg + " expects an integer >= " +
-                   std::to_string(minValue) + ", got '" + value + "'");
-      return *parsed;
-    };
     if (arg == "--socket") {
       args.socketPath = need();
     } else if (arg == "--watch") {
-      args.watchSeconds = needCount(1);
+      args.watchSeconds = parseCount(arg, need(), 1, usageError);
     } else if (arg == "--count") {
-      args.count = needCount(1);
+      args.count = parseCount(arg, need(), 1, usageError);
     } else if (arg == "--raw") {
       if (hasValue) usageError("--raw takes no value");
       args.raw = true;

@@ -68,7 +68,10 @@ class Annealer {
       const double rate =
           static_cast<double>(accepted) / static_cast<double>(movesPerT);
       range = std::clamp(range * (rate > 0.44 ? 1.15 : 0.9), 0.02, 1.0);
-      t *= config_.coolingRate;
+      // Above 80% acceptance the anneal is a random walk that improves
+      // nothing, so halve the temperature there (VPR's fastest cooling
+      // step); from the first step below it, cool at the configured rate.
+      t *= rate > 0.8 ? 0.5 : config_.coolingRate;
     }
     result.tileOfCluster = tileOf_;
     // One final from-scratch recount, NOT the running cost: Placement::cost

@@ -2,7 +2,10 @@
 //
 // Each cluster is assigned to one tile of its site class; the annealer
 // minimizes total bit-weighted half-perimeter wirelength (HPWL) with
-// swap/relocate moves inside a shrinking range window. Deterministic for a
+// swap/relocate moves inside a range window that adapts toward 44%
+// acceptance. The schedule halves the temperature after each step in which
+// more than 80% of moves were accepted (the random walk at the top of the
+// anneal) and otherwise multiplies it by coolingRate. Deterministic for a
 // given seed. The placement is what turns IR structure into *spatial*
 // congestion: replicas of an unrolled loop spread over the fabric (Fig 5's
 // centre-vs-margin label divergence comes from exactly this).
@@ -14,10 +17,11 @@
 // box may shrink (counted as placer_box_rescans). Hot-path state is laid
 // out as flat arrays (CSR cluster->net adjacency with per-net pin
 // multiplicities; separate coordinate / edge-count / weight arrays) for
-// cache locality. There is one kernel: golden placement digests, written
-// while a pre-incremental reference kernel still existed and was asserted
-// bit-equal to this one, pin its output on random and bundled-design
-// packings, and debug builds recount the cost at every temperature step.
+// cache locality. There is one kernel: golden placement digests pin its
+// output on random and bundled-design packings (the kernel was asserted
+// bit-equal to a pre-incremental reference on those inputs; the schedule's
+// hot-phase cut rewrote the literals since), and debug builds recount the
+// cost at every temperature step.
 // Placer speed is measured by perfbench (fpga.place_ns_per_move). See
 // DESIGN.md §15.
 #pragma once

@@ -41,9 +41,12 @@
 namespace hcp::support::flowcache {
 
 /// Bump when the cache envelope or any cached serialization format changes
-/// incompatibly. The version participates in both the envelope header and
-/// the flow digest, so a version bump invalidates every old entry.
-inline constexpr std::uint32_t kSchemaVersion = 1;
+/// incompatibly, and also when the same inputs come to produce a different
+/// flow (a placer schedule or router change that the key's hashed
+/// configuration does not capture). The version participates in both the
+/// envelope header and the flow digest, so a version bump invalidates every
+/// old entry.
+inline constexpr std::uint32_t kSchemaVersion = 2;
 
 /// One cache directory. Each entry is a single file `<dir>/<key>.flow`
 /// written atomically (temp file + rename), so concurrent writers — pool

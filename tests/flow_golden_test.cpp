@@ -36,41 +36,45 @@ std::string flowDigest(apps::AppDesign&& app, std::uint64_t seed = 42) {
 }
 
 TEST(GoldenFlow, FaceDetection) {
-  EXPECT_EQ(flowDigest(apps::faceDetection()), "a6467045e9e11d65");
+  EXPECT_EQ(flowDigest(apps::faceDetection()), "5bea80a47ab0d753");
 }
 
 TEST(GoldenFlow, DigitSpam) {
-  EXPECT_EQ(flowDigest(apps::digitSpamCombined()), "c836176497577025");
+  EXPECT_EQ(flowDigest(apps::digitSpamCombined()), "b7ee19ccb91fa906");
 }
 
 TEST(GoldenFlow, VisionCombined) {
-  EXPECT_EQ(flowDigest(apps::visionCombined()), "a8c7ead216d6fbad");
+  EXPECT_EQ(flowDigest(apps::visionCombined()), "67a15d64c7c920b1");
 }
 
 // Flows in which some sink search meets two least-cost paths whose double
-// sums differ only by rounding (DESIGN.md §15).
-TEST(GoldenFlow, BnnSeed1) {
-  EXPECT_EQ(flowDigest(apps::makeDesign("bnn"), 1), "353dd1ec42df7339");
+// sums differ only by rounding (DESIGN.md §15): a stop bound without its
+// rounding slack routes one sink of each differently. Which (design, seed)
+// pairs meet such a tie depends on the placements, so a change that moves
+// placements on purpose finds them again.
+TEST(GoldenFlow, BnnSeed8) {
+  EXPECT_EQ(flowDigest(apps::makeDesign("bnn"), 8), "53cde24d53836e08");
 }
 
-TEST(GoldenFlow, DigitRecognitionSeed5) {
-  EXPECT_EQ(flowDigest(apps::makeDesign("digit_recognition"), 5), "0a7df01e2a03de13");
+TEST(GoldenFlow, FaceDetectionReplicatedSeed4) {
+  EXPECT_EQ(flowDigest(apps::makeDesign("face_detection_replicated"), 4),
+            "7371f954cc64df73");
 }
 
-TEST(GoldenFlow, DigitRecognitionSeed42) {
-  EXPECT_EQ(flowDigest(apps::makeDesign("digit_recognition"), 42), "52833e26941d70ba");
+TEST(GoldenFlow, OpticalFlowSeed10) {
+  EXPECT_EQ(flowDigest(apps::makeDesign("optical_flow"), 10), "a8ab45850a9310e2");
 }
 
 TEST(GoldenFlow, FuzzSeed1) {
-  EXPECT_EQ(flowDigest(test::randomDesign(1)), "9e886f91ce23cf1a");
+  EXPECT_EQ(flowDigest(test::randomDesign(1)), "0fb012abb4ac7082");
 }
 
 TEST(GoldenFlow, FuzzSeed2) {
-  EXPECT_EQ(flowDigest(test::randomDesign(2)), "d4756bf5e9c03b78");
+  EXPECT_EQ(flowDigest(test::randomDesign(2)), "38149947c9338c4a");
 }
 
 TEST(GoldenFlow, FuzzSeed3) {
-  EXPECT_EQ(flowDigest(test::randomDesign(3)), "c274c968a113162a");
+  EXPECT_EQ(flowDigest(test::randomDesign(3)), "7e3b9cace5c31668");
 }
 
 }  // namespace

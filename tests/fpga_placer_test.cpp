@@ -210,13 +210,15 @@ std::string placementDigest(const Placement& p) {
   return h.hex();
 }
 
-// Golden placements. Each digest was written while the pre-incremental
-// cost kernel still existed and was asserted bit-equal to the incremental
-// one on exactly these inputs, so it is that reference algorithm's output.
-// The inputs cover both NetRec layouts (inline pins and edge-counted nets
-// with shrink rescans), mixed site classes and the density penalty. A
-// change that must not alter placements passes these unedited; one that
-// alters them on purpose updates the literals in the same commit.
+// Golden placements. The cost kernel was asserted bit-equal to the
+// pre-incremental reference kernel on exactly these inputs while that
+// kernel still existed. The digests were rewritten when the schedule began
+// halving the temperature above 80% acceptance; the kernel is unchanged,
+// only the temperature sequence moved. The inputs cover both NetRec
+// layouts (inline pins and edge-counted nets with shrink rescans), mixed
+// site classes and the density penalty. A change that must not alter
+// placements passes these unedited; one that alters them on purpose
+// updates the literals in the same commit.
 
 TEST(Placer, GoldenRandomPackings) {
   struct Case {
@@ -225,11 +227,11 @@ TEST(Placer, GoldenRandomPackings) {
     const char* digest;
   };
   const Case cases[] = {
-      {1, 24, "8366aa910c675ed8"},  {1, 180, "64a00922dc54c118"},
-      {1, 700, "493d33ab8eba39a3"},  {7, 24, "2702a905ed305d29"},
-      {7, 180, "c440211e822eed2c"},  {7, 700, "a50ea31cdf4305fe"},
-      {42, 24, "1607241bd97c7ef5"}, {42, 180, "63a0fedcf6f312d9"},
-      {42, 700, "cd1d5c5feb4d3af1"},
+      {1, 24, "57c9d86a15462b07"},  {1, 180, "8cd92fd161382648"},
+      {1, 700, "63a615a4f2695beb"},  {7, 24, "b7a5f7ed98a74936"},
+      {7, 180, "3cd3a73860843103"},  {7, 700, "489845b86000cfd5"},
+      {42, 24, "fb7346bd376fe37b"}, {42, 180, "592b8fdcad761729"},
+      {42, 700, "f982fe88819bfbd1"},
   };
   const Device dev = Device::xc7z020like();
   for (const Case& c : cases) {
@@ -249,7 +251,7 @@ TEST(Placer, GoldenSpamFilter) {
   cfg.seed = 42;
   cfg.effort = 4.0;
   EXPECT_EQ(placementDigest(place(spamFilterPacking(dev), dev, cfg)),
-            "2ec0d7fb325a889e");
+            "de03d4568a27cad5");
 }
 
 TEST(Placer, GoldenDensity) {
@@ -258,7 +260,31 @@ TEST(Placer, GoldenDensity) {
   cfg.seed = 5;
   cfg.densityWeight = 2.0;
   EXPECT_EQ(placementDigest(place(randomPacking(99, 256), dev, cfg)),
-            "032652920a885fbb");
+            "c14a97aa0ede8519");
+}
+
+// QoR of the anneal schedule, not its bytes: halving the temperature while
+// more than 80% of moves are accepted cuts only the random-walk phase, so
+// the final cost must not rise more than 3% above the fixed-0.92 schedule's
+// while at least a fifth of the moves go. The literals are that schedule's
+// means over placer seeds 1-4 (default config, spam_filter packing). The
+// bound is one-sided: the halving schedule's mean here is 91,499, 3.5%
+// below the fixed schedule's, and a lower cost is no regression.
+TEST(Placer, HotPhaseCutKeepsCost) {
+  constexpr double kFixedScheduleCost = 94866.5;
+  constexpr double kFixedScheduleMoves = 1243200.0;
+  const Device dev = Device::xc7z020like();
+  const Packing packing = spamFilterPacking(dev);
+  double cost = 0.0, moves = 0.0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    PlacerConfig cfg;
+    cfg.seed = seed;
+    const Placement p = place(packing, dev, cfg);
+    cost += p.cost / 4.0;
+    moves += static_cast<double>(p.movesTried) / 4.0;
+  }
+  EXPECT_LE(cost, 1.03 * kFixedScheduleCost);
+  EXPECT_LE(moves, 0.8 * kFixedScheduleMoves);
 }
 
 TEST(Placer, WirelengthMatchesCostTracking) {

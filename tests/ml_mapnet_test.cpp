@@ -394,12 +394,12 @@ std::string predictedSpamFilterMapDigest(MapNetConfig::Topology topology) {
 
 TEST(GoldenMap, TileLinearPredictionMatchesPinnedDigest) {
   EXPECT_EQ(predictedSpamFilterMapDigest(MapNetConfig::Topology::kTileLinear),
-            "de99907c61679462");
+            "5e375b57e133a9b8");
 }
 
 TEST(GoldenMap, ConvPredictionMatchesPinnedDigest) {
   EXPECT_EQ(predictedSpamFilterMapDigest(MapNetConfig::Topology::kConv),
-            "aa1abe16501a7e83");
+            "58a83b1b94b2794c");
 }
 
 }  // namespace

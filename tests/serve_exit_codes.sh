@@ -1,11 +1,13 @@
 #!/bin/sh
-# hcp_serve's exit-code contract for bad input and a dead response stream.
+# hcp_serve's exit-code contract for bad input and a dead response stream,
+# and hcp_top's usage-error wording.
 #
-#   sh serve_exit_codes.sh HCP_SERVE
+#   sh serve_exit_codes.sh HCP_SERVE HCP_TOP
 #
 # Checks, in order:
-#   - an unknown flag exits 2, and so does a bare trailing --threads, with
-#     the `hcp_serve: ` prefix on its message;
+#   - an unknown flag exits 2, and so do a bare trailing --threads and a
+#     bare trailing --model, each message reading `hcp_serve: --X expects a
+#     value`; a bare trailing --socket does the same in hcp_top;
 #   - a model that cannot be loaded exits 1;
 #   - a response written to a full stdout exits 5 with the stream named
 #     <stdout>, as hcp_cli's exit-5 messages name theirs;
@@ -14,11 +16,16 @@
 set -u
 . "$(dirname "$0")/lib.sh"
 serve=$(abspath "$1")
+top=$(abspath "$2")
 enter_work_dir
 
 expect_exit 2 "$serve" --bogus-flag
 expect_exit 2 "$serve" --threads
 need '^hcp_serve: --threads expects a value$' err.txt
+expect_exit 2 "$serve" --model
+need '^hcp_serve: --model expects a value$' err.txt
+expect_exit 2 "$top" --socket
+need '^hcp_top: --socket expects a value$' err.txt
 expect_exit 1 "$serve" --model missing.hcp
 
 printf '{"op":"status"}\n' | "$serve" > /dev/full 2> err.txt

@@ -762,7 +762,7 @@ TEST(FlowCachePlumbing, EntryBytesMatchGolden) {
   const fc::FlowCache cache(scratch.dir());
   ASSERT_TRUE(cache.store("00deadbeef00cafe", "golden payload\nline two\n"));
   EXPECT_EQ(slurpFile(cache.entryPath("00deadbeef00cafe")),
-            "hcp-flowcache 1 00deadbeef00cafe 24 752518a20ed1e372\n"
+            "hcp-flowcache 2 00deadbeef00cafe 24 752518a20ed1e372\n"
             "golden payload\nline two\n");
 }
 

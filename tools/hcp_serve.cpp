@@ -108,7 +108,7 @@ Args parse(const std::vector<std::string>& argv) {
     }
     auto need = [&]() -> const std::string& {
       if (!hasValue) {
-        if (i + 1 >= argv.size()) usageError(arg + " needs a value");
+        if (i + 1 >= argv.size()) usageError(arg + " expects a value");
         value = argv[++i];
       }
       return value;

@@ -61,7 +61,7 @@ Args parse(int argc, char** argv) {
     }
     auto need = [&]() -> const std::string& {
       if (!hasValue) {
-        if (i + 1 >= argc) usageError(arg + " needs a value");
+        if (i + 1 >= argc) usageError(arg + " expects a value");
         value = argv[++i];
       }
       return value;

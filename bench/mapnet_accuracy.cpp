@@ -1,11 +1,20 @@
 // Congestion-map model accuracy on unseen designs — BENCH_mapnet.json.
 //
-// Leave-one-design-out over the table-3 suite: for each topology and each
-// of five model seeds, trains on two designs' placed grid features and
-// routed maps, then scores the predicted V/H maps of the third design
-// against its routed ground truth (per-tile MAE in utilization percent,
-// top-decile hotspot IoU). The gate: the conv net's mean held-out hotspot
-// IoU must beat the tile-wise linear baseline's, or the bench exits 1.
+// Leave-one-design-out over the table-3 suite, repeated at three flow
+// seeds (the placer seed of every flow): for each topology and each of five
+// model seeds, trains on two designs' placed grid features and routed maps,
+// then scores the predicted V/H maps of the third design against its routed
+// ground truth (per-tile MAE in utilization percent, top-decile hotspot
+// IoU). Two baselines are scored on the same held-out maps:
+//
+//   rudy        fpga::estimateRudy of the held-out placement, untrained
+//   rudy_calib  the same estimate through one least-squares affine fit per
+//               V/H (four parameters) on the two training designs' maps
+//
+// The RUDY gate: a topology earns its code only if its mean held-out IoU
+// and MAE both beat raw RUDY by more than the flow-seed spread. Its outcome
+// is printed and written to the JSON; the bench exits 1 only when conv's
+// mean hotspot IoU does not beat tilelinear's at flow seed 42.
 // Everything runs at fixed seeds through the deterministic pool, so the
 // JSON is bit-identical at any --threads.
 #include <algorithm>
@@ -14,6 +23,7 @@
 
 #include "bench_common.hpp"
 #include "core/map_predictor.hpp"
+#include "fpga/router.hpp"
 #include "ml/mapnet.hpp"
 #include "ml/metrics.hpp"
 #include "support/textio.hpp"
@@ -25,6 +35,9 @@ namespace {
 /// The model seeds each held-out fit is repeated under; the spread across
 /// them is the seed-to-seed noise of the map models themselves.
 constexpr std::uint64_t kModelSeeds[] = {hcp::bench::kSeed, 1, 2, 3, 4};
+/// The flow (placer) seeds the whole evaluation is repeated under; the
+/// spread across them is how far one placement's draw moves every row.
+constexpr std::uint64_t kFlowSeeds[] = {hcp::bench::kSeed, 1, 2};
 
 struct DesignScore {
   std::string design;
@@ -41,6 +54,8 @@ double meanOf(const std::vector<T>& items, F value) {
   return items.empty() ? 0.0 : sum / static_cast<double>(items.size());
 }
 
+/// One leave-one-design-out pass: a held-out score per design. The RUDY
+/// rows have no model seed; they carry one SeedResult with seed 0.
 struct SeedResult {
   std::uint64_t seed = 0;
   std::vector<DesignScore> heldOut;  ///< one per held-out design
@@ -52,8 +67,10 @@ struct SeedResult {
   }
 };
 
-struct TopologyResult {
+/// One row of the comparison at one flow seed.
+struct RowResult {
   std::string name;
+  std::uint64_t flowSeed = 0;
   std::vector<SeedResult> seeds;
   double meanIoU() const {
     return meanOf(seeds, [](const SeedResult& s) { return s.meanIoU(); });
@@ -64,30 +81,94 @@ struct TopologyResult {
 };
 
 DesignScore score(const std::string& design, const ml::MapSample& truth,
-                  const ml::MapPrediction& predicted) {
+                  const std::vector<double>& vUtil,
+                  const std::vector<double>& hUtil) {
   DesignScore s;
   s.design = design;
-  s.maeV = ml::meanAbsoluteError(truth.vTarget, predicted.vUtil);
-  s.maeH = ml::meanAbsoluteError(truth.hTarget, predicted.hUtil);
-  s.iouV = ml::hotspotIoU(truth.vTarget, predicted.vUtil);
-  s.iouH = ml::hotspotIoU(truth.hTarget, predicted.hUtil);
+  s.maeV = ml::meanAbsoluteError(truth.vTarget, vUtil);
+  s.maeH = ml::meanAbsoluteError(truth.hTarget, hUtil);
+  s.iouV = ml::hotspotIoU(truth.vTarget, vUtil);
+  s.iouH = ml::hotspotIoU(truth.hTarget, hUtil);
   return s;
 }
 
-void runBench() {
-  const auto device = fpga::Device::xc7z020like();
+/// Per-tile V/H utilization of fpga::estimateRudy on one flow's placement,
+/// row-major like MapSample's targets.
+struct RudyMap {
+  std::vector<double> vUtil, hUtil;
+};
+
+RudyMap rudyOf(const core::FlowResult& flow, const fpga::Device& device) {
+  const fpga::CongestionMap map = fpga::estimateRudy(
+      flow.impl.packing, flow.impl.placement, device);
+  RudyMap out;
+  for (std::uint32_t y = 0; y < map.height(); ++y)
+    for (std::uint32_t x = 0; x < map.width(); ++x) {
+      out.vUtil.push_back(map.vUtil(x, y));
+      out.hUtil.push_back(map.hUtil(x, y));
+    }
+  return out;
+}
+
+/// Least-squares y ≈ a·x + b over every (x, y) pair of the given maps, in
+/// one fixed summation order.
+struct Affine {
+  double a = 1.0, b = 0.0;
+  double operator()(double x) const { return a * x + b; }
+};
+
+Affine fitAffine(const std::vector<const std::vector<double>*>& xs,
+                 const std::vector<const std::vector<double>*>& ys) {
+  double n = 0.0, sx = 0.0, sy = 0.0;
+  for (std::size_t m = 0; m < xs.size(); ++m)
+    for (std::size_t i = 0; i < xs[m]->size(); ++i) {
+      n += 1.0;
+      sx += (*xs[m])[i];
+      sy += (*ys[m])[i];
+    }
+  const double mx = sx / n, my = sy / n;
+  double sxx = 0.0, sxy = 0.0;
+  for (std::size_t m = 0; m < xs.size(); ++m)
+    for (std::size_t i = 0; i < xs[m]->size(); ++i) {
+      const double dx = (*xs[m])[i] - mx;
+      sxx += dx * dx;
+      sxy += dx * ((*ys[m])[i] - my);
+    }
+  Affine f;
+  f.a = sxx > 0.0 ? sxy / sxx : 0.0;
+  f.b = my - f.a * mx;
+  return f;
+}
+
+std::vector<double> calibrated(const Affine& f, const std::vector<double>& x) {
+  std::vector<double> out(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) out[i] = f(x[i]);
+  return out;
+}
+
+/// Every row at one flow seed: both topologies over the model seeds, then
+/// raw and calibrated RUDY.
+std::vector<RowResult> evaluateFlowSeed(const fpga::Device& device,
+                                        std::uint64_t flowSeed) {
   const std::vector<core::FlowResult> flows =
-      hcp::bench::runBenchmarkSuite(device);
+      hcp::bench::runBenchmarkSuite(device, flowSeed);
   const auto samples = core::buildMapSamples(
       flows, device, core::gridConfigFor(fpga::PlacerConfig{}));
+  std::vector<RudyMap> rudy;
+  for (const core::FlowResult& flow : flows)
+    rudy.push_back(rudyOf(flow, device));
 
-  std::vector<TopologyResult> results;
+  std::vector<RowResult> rows;
   for (const auto topology : {ml::MapNetConfig::Topology::kTileLinear,
                               ml::MapNetConfig::Topology::kConv}) {
-    TopologyResult result;
-    result.name = ml::topologyName(topology);
-    std::fprintf(stderr, "[mapnet] %s: %zu seeds x %zu held-out designs...\n",
-                 result.name.c_str(), std::size(kModelSeeds), samples.size());
+    RowResult row;
+    row.name = ml::topologyName(topology);
+    row.flowSeed = flowSeed;
+    std::fprintf(stderr,
+                 "[mapnet] flow seed %llu, %s: %zu seeds x %zu held-out "
+                 "designs...\n",
+                 static_cast<unsigned long long>(flowSeed), row.name.c_str(),
+                 std::size(kModelSeeds), samples.size());
     for (const std::uint64_t seed : kModelSeeds) {
       SeedResult seedResult;
       seedResult.seed = seed;
@@ -100,36 +181,126 @@ void runBench() {
         config.seed = seed;
         ml::MapNet model(config);
         model.fit(train);
-        seedResult.heldOut.push_back(score(
-            flows[held].name, samples[held], model.predict(samples[held].grid)));
+        const ml::MapPrediction predicted =
+            model.predict(samples[held].grid);
+        seedResult.heldOut.push_back(score(flows[held].name, samples[held],
+                                           predicted.vUtil,
+                                           predicted.hUtil));
       }
-      result.seeds.push_back(std::move(seedResult));
+      row.seeds.push_back(std::move(seedResult));
     }
-    results.push_back(std::move(result));
+    rows.push_back(std::move(row));
   }
 
+  RowResult raw{"rudy", flowSeed, {SeedResult{}}};
+  RowResult calib{"rudy_calib", flowSeed, {SeedResult{}}};
+  for (std::size_t held = 0; held < samples.size(); ++held) {
+    raw.seeds[0].heldOut.push_back(score(flows[held].name, samples[held],
+                                         rudy[held].vUtil, rudy[held].hUtil));
+    std::vector<const std::vector<double>*> xv, yv, xh, yh;
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      if (i == held) continue;
+      xv.push_back(&rudy[i].vUtil);
+      yv.push_back(&samples[i].vTarget);
+      xh.push_back(&rudy[i].hUtil);
+      yh.push_back(&samples[i].hTarget);
+    }
+    calib.seeds[0].heldOut.push_back(
+        score(flows[held].name, samples[held],
+              calibrated(fitAffine(xv, yv), rudy[held].vUtil),
+              calibrated(fitAffine(xh, yh), rudy[held].hUtil)));
+  }
+  rows.push_back(std::move(raw));
+  rows.push_back(std::move(calib));
+  return rows;
+}
+
+/// A row's means over the flow seeds and their range (max - min).
+struct RowSummary {
+  std::string name;
+  double iou = 0.0, mae = 0.0;
+  double iouSpread = 0.0, maeSpread = 0.0;
+};
+
+RowSummary summarize(const std::vector<RowResult>& rows,
+                     const std::string& name) {
+  RowSummary s;
+  s.name = name;
+  double iouLo = 1e300, iouHi = -1e300, maeLo = 1e300, maeHi = -1e300;
+  std::size_t n = 0;
+  for (const RowResult& r : rows) {
+    if (r.name != name) continue;
+    s.iou += r.meanIoU();
+    s.mae += r.meanMae();
+    iouLo = std::min(iouLo, r.meanIoU());
+    iouHi = std::max(iouHi, r.meanIoU());
+    maeLo = std::min(maeLo, r.meanMae());
+    maeHi = std::max(maeHi, r.meanMae());
+    ++n;
+  }
+  s.iou /= static_cast<double>(n);
+  s.mae /= static_cast<double>(n);
+  s.iouSpread = iouHi - iouLo;
+  s.maeSpread = maeHi - maeLo;
+  return s;
+}
+
+void runBench() {
+  const auto device = fpga::Device::xc7z020like();
+  std::vector<RowResult> rows;
+  for (const std::uint64_t flowSeed : kFlowSeeds)
+    for (RowResult& row : evaluateFlowSeed(device, flowSeed))
+      rows.push_back(std::move(row));
+
   Table table(
-      "Congestion-map model accuracy on held-out designs (per-tile, vs "
-      "routed truth)");
-  table.setHeader({"Model", "Seed", "Held-out design", "V MAE", "H MAE",
-                   "V IoU", "H IoU"});
-  for (const TopologyResult& r : results)
+      "Congestion-map accuracy on held-out designs (per-tile, vs routed "
+      "truth)");
+  table.setHeader({"Model", "Flow seed", "Model seed", "Held-out design",
+                   "V MAE", "H MAE", "V IoU", "H IoU"});
+  for (const RowResult& r : rows)
     for (const SeedResult& seed : r.seeds)
       for (const DesignScore& s : seed.heldOut)
-        table.addRow({r.name, std::to_string(seed.seed), s.design,
-                      fmt(s.maeV), fmt(s.maeH), fmt(s.iouV, 3),
+        table.addRow({r.name, std::to_string(r.flowSeed),
+                      r.seeds.size() == 1 ? "-" : std::to_string(seed.seed),
+                      s.design, fmt(s.maeV), fmt(s.maeH), fmt(s.iouV, 3),
                       fmt(s.iouH, 3)});
   hcp::bench::emit(table, "mapnet_accuracy.csv");
-  for (const TopologyResult& r : results) {
+  for (const RowResult& r : rows) {
     double lo = 1.0, hi = 0.0;
     for (const SeedResult& seed : r.seeds) {
       lo = std::min(lo, seed.meanIoU());
       hi = std::max(hi, seed.meanIoU());
     }
     std::printf(
-        "%-10s held-out mean MAE %6.2f%%  mean hotspot IoU %.3f "
-        "(seeds %.3f-%.3f)\n",
-        r.name.c_str(), r.meanMae(), r.meanIoU(), lo, hi);
+        "%-10s flow seed %2llu held-out mean MAE %6.2f%%  mean hotspot IoU "
+        "%.3f (model seeds %.3f-%.3f)\n",
+        r.name.c_str(), static_cast<unsigned long long>(r.flowSeed),
+        r.meanMae(), r.meanIoU(), lo, hi);
+  }
+
+  // The RUDY gate, over the flow-seed means.
+  const RowSummary rudy = summarize(rows, "rudy");
+  std::vector<RowSummary> gated;
+  for (const char* name : {"tilelinear", "conv", "rudy_calib"})
+    gated.push_back(summarize(rows, name));
+  struct GateOutcome {
+    double iouMargin, maeMargin, iouSpread, maeSpread;
+    bool keep;
+  };
+  std::vector<GateOutcome> outcomes;
+  for (const RowSummary& s : gated) {
+    GateOutcome g;
+    g.iouMargin = s.iou - rudy.iou;
+    g.maeMargin = rudy.mae - s.mae;
+    g.iouSpread = std::max(s.iouSpread, rudy.iouSpread);
+    g.maeSpread = std::max(s.maeSpread, rudy.maeSpread);
+    g.keep = g.iouMargin > g.iouSpread && g.maeMargin > g.maeSpread;
+    outcomes.push_back(g);
+    std::printf(
+        "gate %-10s vs rudy: IoU %+.3f (spread %.3f), MAE %+.2f (spread "
+        "%.2f) -> %s\n",
+        s.name.c_str(), g.iouMargin, g.iouSpread, g.maeMargin, g.maeSpread,
+        g.keep ? "beats rudy" : "does not beat rudy");
   }
 
   support::txt::CheckedFileWriter writer("BENCH_mapnet.json", "benchout");
@@ -137,9 +308,10 @@ void runBench() {
   support::txt::preparePrecision(json);
   json << "{\n  \"threads\": " << support::threadLimit()
        << ",\n  \"protocol\": \"leave-one-design-out\",\n  \"models\": [\n";
-  for (std::size_t m = 0; m < results.size(); ++m) {
-    const TopologyResult& r = results[m];
+  for (std::size_t m = 0; m < rows.size(); ++m) {
+    const RowResult& r = rows[m];
     json << "    {\"topology\": \"" << r.name << "\""
+         << ", \"flow_seed\": " << r.flowSeed
          << ", \"mean_mae\": " << r.meanMae()
          << ", \"mean_hotspot_iou\": " << r.meanIoU() << ", \"seeds\": [\n";
     for (std::size_t k = 0; k < r.seeds.size(); ++k) {
@@ -158,10 +330,23 @@ void runBench() {
       }
       json << "      ]}" << (k + 1 < r.seeds.size() ? "," : "") << "\n";
     }
-    json << "    ]}" << (m + 1 < results.size() ? "," : "") << "\n";
+    json << "    ]}" << (m + 1 < rows.size() ? "," : "") << "\n";
   }
-  const double linearIoU = results[0].meanIoU();
-  const double convIoU = results[1].meanIoU();
+  json << "  ],\n  \"rudy_gate\": [\n";
+  for (std::size_t i = 0; i < gated.size(); ++i) {
+    const GateOutcome& g = outcomes[i];
+    json << "    {\"model\": \"" << gated[i].name << "\""
+         << ", \"mean_mae\": " << gated[i].mae
+         << ", \"mean_hotspot_iou\": " << gated[i].iou
+         << ", \"iou_margin\": " << g.iouMargin
+         << ", \"iou_spread\": " << g.iouSpread
+         << ", \"mae_margin\": " << g.maeMargin
+         << ", \"mae_spread\": " << g.maeSpread
+         << ", \"beats_rudy\": " << (g.keep ? "true" : "false") << "}"
+         << (i + 1 < gated.size() ? "," : "") << "\n";
+  }
+  const double linearIoU = rows[0].meanIoU();
+  const double convIoU = rows[1].meanIoU();
   json << "  ],\n  \"conv_minus_tilelinear_iou\": " << (convIoU - linearIoU)
        << "\n}\n";
   writer.commit();

@@ -311,9 +311,35 @@ TEST(Router, RudyEstimateCoversBbox) {
   f.addNet(a, {b}, 10);
   const Device dev = Device::xc7z020like();
   const auto rudy = estimateRudy(f.packing, f.placement, dev);
-  // Demand present inside the bbox, absent outside.
-  EXPECT_GT(rudy.hDemand(15, 15), 0.0);
-  EXPECT_DOUBLE_EQ(rudy.hDemand(50, 50), 0.0);
+  // The 11x11 box holds the net's 10 tiles of H and of V wiring, spread
+  // evenly: 10 bits * 10 tiles / 121 tiles on every tile inside it, 0
+  // everywhere else.
+  const double perTile = 10.0 * 10.0 / 121.0;
+  for (std::uint32_t y = 0; y < dev.height(); ++y)
+    for (std::uint32_t x = 0; x < dev.width(); ++x) {
+      const bool inside = x >= 10 && x <= 20 && y >= 10 && y <= 20;
+      EXPECT_DOUBLE_EQ(rudy.hDemand(x, y), inside ? perTile : 0.0)
+          << x << "," << y;
+      EXPECT_DOUBLE_EQ(rudy.vDemand(x, y), inside ? perTile : 0.0)
+          << x << "," << y;
+    }
+}
+
+TEST(Router, RudyOneColumnNetHasNoHorizontalDemand) {
+  Fixture f;
+  const auto a = f.addClusterAt(12, 5);
+  const auto b = f.addClusterAt(12, 25);
+  f.addNet(a, {b}, 8);
+  const Device dev = Device::xc7z020like();
+  const auto rudy = estimateRudy(f.packing, f.placement, dev);
+  // A 1x21 box: 8 bits * 20 tiles / 21 tiles of V demand down the column.
+  for (std::uint32_t y = 0; y < dev.height(); ++y)
+    for (std::uint32_t x = 0; x < dev.width(); ++x) {
+      EXPECT_EQ(rudy.hDemand(x, y), 0.0) << x << "," << y;
+      const bool inside = x == 12 && y >= 5 && y <= 25;
+      EXPECT_DOUBLE_EQ(rudy.vDemand(x, y), inside ? 8.0 * 20.0 / 21.0 : 0.0)
+          << x << "," << y;
+    }
 }
 
 TEST(CongestionMapTest, SmoothingPreservesTotalDemand) {

@@ -28,6 +28,7 @@
 #include "core/map_predictor.hpp"
 #include "features/grid_features.hpp"
 #include "fpga/device.hpp"
+#include "fpga/router.hpp"
 #include "ml/mapnet.hpp"
 #include "ml/metrics.hpp"
 #include "support/envelope.hpp"
@@ -344,23 +345,26 @@ TEST(MapNetContract, PredictRejectsWrongChannelCount) {
 // map format, must match results/golden_map_spam_filter.txt byte for byte.
 // Any drift means either the physical pipeline or the serializer changed
 // behaviour. Regenerate deliberately with HCP_REGEN_GOLDEN=1.
+MapPrediction utilizationOf(const fpga::CongestionMap& map) {
+  MapPrediction out;
+  out.width = map.width();
+  out.height = map.height();
+  out.vUtil.resize(out.numTiles());
+  out.hUtil.resize(out.numTiles());
+  for (std::uint32_t y = 0; y < map.height(); ++y)
+    for (std::uint32_t x = 0; x < map.width(); ++x) {
+      const std::size_t i = static_cast<std::size_t>(y) * map.width() + x;
+      out.vUtil[i] = map.vUtil(x, y);
+      out.hUtil[i] = map.hUtil(x, y);
+    }
+  return out;
+}
+
 TEST(GoldenMap, RoutedSpamFilterMapMatchesCheckedInGolden) {
   const auto device = fpga::Device::xc7z020like();
   const core::FlowResult flow =
       core::runFlow(apps::makeDesign("spam_filter"), device, {});
-  const fpga::CongestionMap& routed = flow.impl.routing.map;
-
-  MapPrediction truth;
-  truth.width = routed.width();
-  truth.height = routed.height();
-  truth.vUtil.resize(truth.numTiles());
-  truth.hUtil.resize(truth.numTiles());
-  for (std::uint32_t y = 0; y < routed.height(); ++y)
-    for (std::uint32_t x = 0; x < routed.width(); ++x) {
-      const std::size_t i = static_cast<std::size_t>(y) * routed.width() + x;
-      truth.vUtil[i] = routed.vUtil(x, y);
-      truth.hUtil[i] = routed.hUtil(x, y);
-    }
+  const MapPrediction truth = utilizationOf(flow.impl.routing.map);
 
   const std::string goldenPath =
       std::string(HCP_RESULTS_DIR) + "/golden_map_spam_filter.txt";
@@ -390,6 +394,18 @@ std::string predictedSpamFilterMapDigest(MapNetConfig::Topology topology) {
   const MapPrediction predicted = model.predict(samples[0].grid);
   EXPECT_GT(predicted.tilesOver(0.0), 0u) << "a blank map pins nothing";
   return support::Fnv1a().bytes(mapBytes(predicted)).hex();
+}
+
+// RUDY (fpga::estimateRudy) of spam_filter's seed-42 placement, the one
+// runFlow routes, pinned as the FNV-1a digest of its hcp-map bytes.
+TEST(GoldenMap, RudyPredictionMatchesPinnedDigest) {
+  const auto device = fpga::Device::xc7z020like();
+  const core::FlowResult flow =
+      core::runFlow(apps::makeDesign("spam_filter"), device, {});
+  const MapPrediction rudy = utilizationOf(fpga::estimateRudy(
+      flow.impl.packing, flow.impl.placement, device));
+  EXPECT_GT(rudy.tilesOver(0.0), 0u) << "a blank map pins nothing";
+  EXPECT_EQ(support::Fnv1a().bytes(mapBytes(rudy)).hex(), "a455bc008668d37b");
 }
 
 TEST(GoldenMap, TileLinearPredictionMatchesPinnedDigest) {

@@ -12,6 +12,11 @@
 //     against the per-op means another run wrote (over the ops present in
 //     both), which is how a change to the placer shows that its labels stay
 //     inside the floor of the code it replaces;
+//   - the routed-map floor: every seed's routed V/H utilization map scored
+//     against the mean map of the other K-1 seeds, as top-decile hotspot
+//     IoU and per-tile MAE (utilization %), averaged over the seeds; next to
+//     it, the RUDY estimate (what predict-map returns) of each seed's
+//     placement scored against that seed's own routed map;
 //   - summed wirelength, congested tiles and placer moves over the seeds;
 //   - how often the §V case study's hotspot (face_detection, line 70) is the
 //     routed #1 region over seeds 1..4K. Regions are (function, line) groups
@@ -34,6 +39,8 @@
 
 #include "apps/registry.hpp"
 #include "bench_common.hpp"
+#include "fpga/router.hpp"
+#include "ml/metrics.hpp"
 #include "support/env.hpp"
 #include "support/json.hpp"
 #include "support/textio.hpp"
@@ -96,9 +103,20 @@ struct Region {
   std::int32_t line = 0;
 };
 
+/// One congestion map's per-tile V/H utilization, row-major.
+struct UtilMap {
+  std::vector<double> v, h;
+};
+
+UtilMap utilOf(const fpga::CongestionMap& map) {
+  return {map.utilization(true), map.utilization(false)};
+}
+
 /// What one flow at one seed leaves behind once its result is dropped.
 struct SeedRun {
   std::vector<OpLabel> ops;  ///< back-trace order
+  UtilMap routed;            ///< the routed map
+  UtilMap rudy;              ///< RUDY of the same placement
   double wirelength = 0.0;
   std::size_t congestedTiles = 0;
   std::uint64_t placerMoves = 0;
@@ -116,6 +134,9 @@ SeedRun runSeed(const std::string& design, std::uint64_t seed,
                                          flow.impl.placement);
   run.congestedTiles = flow.congestedTiles;
   run.placerMoves = flow.impl.placement.movesTried;
+  run.routed = utilOf(flow.impl.routing.map);
+  run.rudy = utilOf(fpga::estimateRudy(flow.impl.packing,
+                                       flow.impl.placement, device));
   for (const trace::Sample& s : flow.traced.samples)
     run.ops.push_back({{s.functionIndex, s.instance, s.op}, s.sourceLine,
                        s.vCongestion, s.hCongestion});
@@ -171,44 +192,45 @@ Reference readReference(const std::string& path) {
   return ref;
 }
 
-struct Mae {
+/// A V/H pair: label or map MAEs, or map IoUs.
+struct VH {
   double v = 0.0, h = 0.0;
 };
 
 /// Mean absolute error of `labels[seed][i]` against `truth(seed, i)` over
 /// every seed and index.
 template <typename Truth>
-Mae maeOver(const std::vector<std::vector<Mae>>& labels, Truth truth) {
-  Mae sum;
+VH maeOver(const std::vector<std::vector<VH>>& labels, Truth truth) {
+  VH sum;
   std::size_t n = 0;
   for (std::size_t s = 0; s < labels.size(); ++s)
     for (std::size_t i = 0; i < labels[s].size(); ++i) {
-      const Mae t = truth(s, i);
+      const VH t = truth(s, i);
       sum.v += std::abs(labels[s][i].v - t.v);
       sum.h += std::abs(labels[s][i].h - t.h);
       ++n;
     }
-  return n ? Mae{sum.v / n, sum.h / n} : Mae{};
+  return n ? VH{sum.v / n, sum.h / n} : VH{};
 }
 
 /// Leave-one-seed-out MAE: each seed's label against the mean of the others.
-Mae leaveOneOut(const std::vector<std::vector<Mae>>& labels) {
+VH leaveOneOut(const std::vector<std::vector<VH>>& labels) {
   const std::size_t k = labels.size();
-  std::vector<Mae> total(labels.front().size());
+  std::vector<VH> total(labels.front().size());
   for (const auto& seed : labels)
     for (std::size_t i = 0; i < seed.size(); ++i) {
       total[i].v += seed[i].v;
       total[i].h += seed[i].h;
     }
   return maeOver(labels, [&](std::size_t s, std::size_t i) {
-    return Mae{(total[i].v - labels[s][i].v) / static_cast<double>(k - 1),
+    return VH{(total[i].v - labels[s][i].v) / static_cast<double>(k - 1),
                (total[i].h - labels[s][i].h) / static_cast<double>(k - 1)};
   });
 }
 
 /// Averages each (function, line)'s entries of every seed; `lineOf[i]` is
 /// entry i's region. Regions come out in key order.
-std::vector<std::vector<Mae>> perLine(const std::vector<std::vector<Mae>>& labels,
+std::vector<std::vector<VH>> perLine(const std::vector<std::vector<VH>>& labels,
                                       const std::vector<LineKey>& lineOf) {
   std::map<LineKey, std::size_t> index;
   for (const LineKey& key : lineOf) index.emplace(key, 0);
@@ -216,11 +238,11 @@ std::vector<std::vector<Mae>> perLine(const std::vector<std::vector<Mae>>& label
   for (auto& [key, slot] : index) slot = next++;
   std::vector<std::size_t> count(index.size(), 0);
   for (const LineKey& key : lineOf) ++count[index[key]];
-  std::vector<std::vector<Mae>> out(labels.size(),
-                                    std::vector<Mae>(index.size()));
+  std::vector<std::vector<VH>> out(labels.size(),
+                                    std::vector<VH>(index.size()));
   for (std::size_t s = 0; s < labels.size(); ++s)
     for (std::size_t i = 0; i < lineOf.size(); ++i) {
-      Mae& m = out[s][index[lineOf[i]]];
+      VH& m = out[s][index[lineOf[i]]];
       const double n = static_cast<double>(count[index[lineOf[i]]]);
       m.v += labels[s][i].v / n;
       m.h += labels[s][i].h / n;
@@ -228,12 +250,63 @@ std::vector<std::vector<Mae>> perLine(const std::vector<std::vector<Mae>>& label
   return out;
 }
 
+/// Map agreement averaged over the seeds: top-decile IoU and MAE.
+struct MapScore {
+  VH iou, mae;
+};
+
+/// Scores `predicted(s)` against `actual(s)` for every seed s < k.
+template <typename Actual, typename Predicted>
+MapScore mapScore(std::size_t k, Actual actual, Predicted predicted) {
+  MapScore sum;
+  for (std::size_t s = 0; s < k; ++s) {
+    const UtilMap a = actual(s);
+    const UtilMap& p = predicted(s);
+    sum.iou.v += ml::hotspotIoU(a.v, p.v);
+    sum.iou.h += ml::hotspotIoU(a.h, p.h);
+    sum.mae.v += ml::meanAbsoluteError(a.v, p.v);
+    sum.mae.h += ml::meanAbsoluteError(a.h, p.h);
+  }
+  const double n = static_cast<double>(k);
+  return {{sum.iou.v / n, sum.iou.h / n}, {sum.mae.v / n, sum.mae.h / n}};
+}
+
+/// Leave-one-seed-out routed-map floor, and RUDY against the same seed's
+/// routed map.
+std::pair<MapScore, MapScore> mapScores(const std::vector<SeedRun>& runs) {
+  const std::size_t k = runs.size();
+  UtilMap total = runs.front().routed;
+  for (std::size_t s = 1; s < k; ++s)
+    for (std::size_t i = 0; i < total.v.size(); ++i) {
+      total.v[i] += runs[s].routed.v[i];
+      total.h[i] += runs[s].routed.h[i];
+    }
+  const auto othersMean = [&](std::size_t s) {
+    UtilMap mean = total;
+    const double n = static_cast<double>(k - 1);
+    for (std::size_t i = 0; i < mean.v.size(); ++i) {
+      mean.v[i] = (mean.v[i] - runs[s].routed.v[i]) / n;
+      mean.h[i] = (mean.h[i] - runs[s].routed.h[i]) / n;
+    }
+    return mean;
+  };
+  const auto routed = [&](std::size_t s) -> const UtilMap& {
+    return runs[s].routed;
+  };
+  const auto rudy = [&](std::size_t s) -> const UtilMap& {
+    return runs[s].rudy;
+  };
+  return {mapScore(k, othersMean, routed), mapScore(k, routed, rudy)};
+}
+
 struct DesignResult {
   std::string name;
   std::size_t ops = 0, lines = 0;
-  Mae opFloor, lineFloor;
+  VH opFloor, lineFloor;
+  VH mapFloorIoU, mapFloorMae;  ///< routed map vs the other seeds' mean
+  VH rudyIoU, rudyMae;          ///< RUDY vs the same seed's routed map
   std::size_t matchedOps = 0;  ///< ops also in the reference
-  Mae opCross, lineCross;
+  VH opCross, lineCross;
   double wirelength = 0.0;
   std::size_t congestedTiles = 0;
   std::uint64_t placerMoves = 0;
@@ -244,11 +317,11 @@ DesignResult analyse(const std::string& name, const std::vector<SeedRun>& runs,
   DesignResult r;
   r.name = name;
   const std::vector<OpLabel>& ops = runs.front().ops;
-  std::vector<std::vector<Mae>> labels;
+  std::vector<std::vector<VH>> labels;
   for (const SeedRun& run : runs) {
     HCP_CHECK_MSG(run.ops.size() == ops.size(),
                   name << ": op count differs across seeds");
-    std::vector<Mae> seed;
+    std::vector<VH> seed;
     for (std::size_t i = 0; i < ops.size(); ++i) {
       HCP_CHECK_MSG(run.ops[i].key == ops[i].key,
                     name << ": op order differs across seeds");
@@ -267,12 +340,17 @@ DesignResult analyse(const std::string& name, const std::vector<SeedRun>& runs,
   r.lines = lineLabels.front().size();
   r.opFloor = leaveOneOut(labels);
   r.lineFloor = leaveOneOut(lineLabels);
+  const auto [mapFloor, rudy] = mapScores(runs);
+  r.mapFloorIoU = mapFloor.iou;
+  r.mapFloorMae = mapFloor.mae;
+  r.rudyIoU = rudy.iou;
+  r.rudyMae = rudy.mae;
   if (!reference) return r;
 
   // Cross MAE over the ops both runs have: the same ops' labels, and the
   // reference means in their place.
-  std::vector<std::vector<Mae>> matched(labels.size());
-  std::vector<Mae> truth;
+  std::vector<std::vector<VH>> matched(labels.size());
+  std::vector<VH> truth;
   std::vector<LineKey> matchedLines;
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const auto it = reference->find({name, ops[i].key});
@@ -288,7 +366,7 @@ DesignResult analyse(const std::string& name, const std::vector<SeedRun>& runs,
     return truth[i];
   });
   const auto lineTruth =
-      perLine(std::vector<std::vector<Mae>>{truth}, matchedLines).front();
+      perLine(std::vector<std::vector<VH>>{truth}, matchedLines).front();
   r.lineCross = maeOver(perLine(matched, matchedLines),
                         [&](std::size_t, std::size_t i) {
                           return lineTruth[i];
@@ -296,9 +374,9 @@ DesignResult analyse(const std::string& name, const std::vector<SeedRun>& runs,
   return r;
 }
 
-/// One MAE field averaged over the designs.
-Mae meanOf(const std::vector<DesignResult>& results, Mae DesignResult::*field) {
-  Mae sum;
+/// One V/H field averaged over the designs.
+VH meanOf(const std::vector<DesignResult>& results, VH DesignResult::*field) {
+  VH sum;
   for (const DesignResult& r : results) {
     sum.v += (r.*field).v;
     sum.h += (r.*field).h;
@@ -378,15 +456,17 @@ int runBench(const Options& options) {
   std::size_t caseHits = 0;
   for (const Region& top : caseTops) caseHits += top.line == kCaseLine;
 
-  Table table("Placer-seed label floor (" + std::to_string(k) +
-              " flow seeds, leave-one-seed-out MAE, label %)");
+  Table table("Placer-seed floor (" + std::to_string(k) +
+              " flow seeds, leave-one-seed-out MAE in %; map IoU/MAE of "
+              "the routed map and of RUDY)");
   std::vector<std::string> header = {"Design", "#Ops", "#Lines", "Op V",
                                      "Op H", "Line V", "Line H"};
   if (reference)
     for (const char* h : {"Cross op V", "Cross op H", "Cross line V",
                           "Cross line H"})
       header.push_back(h);
-  for (const char* h : {"Wirelength", "Congested", "Placer moves"})
+  for (const char* h : {"Map IoU", "Map MAE", "RUDY IoU", "RUDY MAE",
+                        "Wirelength", "Congested", "Placer moves"})
     header.push_back(h);
   table.setHeader(header);
   for (const DesignResult& r : results) {
@@ -397,6 +477,11 @@ int runBench(const Options& options) {
     if (reference)
       for (double x : {r.opCross.v, r.opCross.h, r.lineCross.v, r.lineCross.h})
         row.push_back(fmt(x));
+    // The map columns average V and H.
+    row.push_back(fmt(0.5 * (r.mapFloorIoU.v + r.mapFloorIoU.h), 3));
+    row.push_back(fmt(0.5 * (r.mapFloorMae.v + r.mapFloorMae.h)));
+    row.push_back(fmt(0.5 * (r.rudyIoU.v + r.rudyIoU.h), 3));
+    row.push_back(fmt(0.5 * (r.rudyMae.v + r.rudyMae.h)));
     row.push_back(fmt(r.wirelength, 0));
     row.push_back(std::to_string(r.congestedTiles));
     row.push_back(std::to_string(r.placerMoves));
@@ -409,7 +494,7 @@ int runBench(const Options& options) {
   support::txt::CheckedFileWriter writer("BENCH_noise.json", "benchout");
   auto& json = writer.stream();
   support::txt::preparePrecision(json);
-  auto writeMae = [&](const char* name, const Mae& m) {
+  auto writeVH = [&](const char* name, const VH& m) {
     json << "\"" << name << "_v\": " << m.v << ", \"" << name
          << "_h\": " << m.h;
   };
@@ -424,14 +509,22 @@ int runBench(const Options& options) {
     const DesignResult& r = results[d];
     json << "    {\"design\": \"" << r.name << "\", \"ops\": " << r.ops
          << ", \"lines\": " << r.lines << ", ";
-    writeMae("op_floor", r.opFloor);
+    writeVH("op_floor", r.opFloor);
     json << ", ";
-    writeMae("line_floor", r.lineFloor);
+    writeVH("line_floor", r.lineFloor);
+    json << ", ";
+    writeVH("map_floor_iou", r.mapFloorIoU);
+    json << ", ";
+    writeVH("map_floor_mae", r.mapFloorMae);
+    json << ", ";
+    writeVH("rudy_iou", r.rudyIoU);
+    json << ", ";
+    writeVH("rudy_mae", r.rudyMae);
     if (reference) {
       json << ", \"matched_ops\": " << r.matchedOps << ", ";
-      writeMae("op_cross", r.opCross);
+      writeVH("op_cross", r.opCross);
       json << ", ";
-      writeMae("line_cross", r.lineCross);
+      writeVH("line_cross", r.lineCross);
     }
     json << ", \"wirelength\": " << r.wirelength
          << ", \"congested_tiles\": " << r.congestedTiles
@@ -439,14 +532,22 @@ int runBench(const Options& options) {
          << (d + 1 < results.size() ? "," : "") << "\n";
   }
   json << "  ],\n  \"mean\": {";
-  writeMae("op_floor", meanOf(results, &DesignResult::opFloor));
+  writeVH("op_floor", meanOf(results, &DesignResult::opFloor));
   json << ", ";
-  writeMae("line_floor", meanOf(results, &DesignResult::lineFloor));
+  writeVH("line_floor", meanOf(results, &DesignResult::lineFloor));
+  json << ", ";
+  writeVH("map_floor_iou", meanOf(results, &DesignResult::mapFloorIoU));
+  json << ", ";
+  writeVH("map_floor_mae", meanOf(results, &DesignResult::mapFloorMae));
+  json << ", ";
+  writeVH("rudy_iou", meanOf(results, &DesignResult::rudyIoU));
+  json << ", ";
+  writeVH("rudy_mae", meanOf(results, &DesignResult::rudyMae));
   if (reference) {
     json << ", ";
-    writeMae("op_cross", meanOf(results, &DesignResult::opCross));
+    writeVH("op_cross", meanOf(results, &DesignResult::opCross));
     json << ", ";
-    writeMae("line_cross", meanOf(results, &DesignResult::lineCross));
+    writeVH("line_cross", meanOf(results, &DesignResult::lineCross));
   }
   double wirelength = 0.0;
   std::size_t congestedTiles = 0;

@@ -2,64 +2,15 @@
 
 #include <utility>
 
+#include "fpga/router.hpp"
 #include "support/error.hpp"
 #include "support/telemetry.hpp"
 
 namespace hcp::core {
 
-features::GridFeatureConfig gridConfigFor(const fpga::PlacerConfig& placer) {
-  features::GridFeatureConfig grid;
-  grid.regionSize = placer.regionSize;
-  return grid;
-}
-
-ml::GridSample gridSampleFor(const fpga::Packing& packing,
-                             const fpga::Placement& placement,
-                             const fpga::Device& device,
-                             const features::GridFeatureConfig& grid) {
-  const features::GridFeatures feats =
-      features::extractGridFeatures(packing, placement, device, grid);
-  ml::GridSample sample;
-  sample.width = feats.width;
-  sample.height = feats.height;
-  for (const std::vector<double>* channel : feats.channels())
-    sample.channels.push_back(*channel);
-  return sample;
-}
-
-std::vector<ml::MapSample> buildMapSamples(
-    std::span<const FlowResult> flows, const fpga::Device& device,
-    const features::GridFeatureConfig& grid) {
-  HCP_SPAN("build_map_samples");
-  std::vector<ml::MapSample> samples;
-  samples.reserve(flows.size());
-  for (const FlowResult& flow : flows) {
-    const fpga::CongestionMap& map = flow.impl.routing.map;
-    HCP_CHECK_MSG(map.width() == device.width() &&
-                      map.height() == device.height(),
-                  flow.name << ": routed map is " << map.width() << "x"
-                            << map.height() << ", device is "
-                            << device.width() << "x" << device.height());
-    ml::MapSample sample;
-    sample.grid =
-        gridSampleFor(flow.impl.packing, flow.impl.placement, device, grid);
-    const std::size_t tiles = sample.grid.numTiles();
-    sample.vTarget.resize(tiles);
-    sample.hTarget.resize(tiles);
-    for (std::uint32_t y = 0; y < map.height(); ++y)
-      for (std::uint32_t x = 0; x < map.width(); ++x) {
-        const std::size_t i = static_cast<std::size_t>(y) * map.width() + x;
-        sample.vTarget[i] = map.vUtil(x, y);
-        sample.hTarget[i] = map.hUtil(x, y);
-      }
-    samples.push_back(std::move(sample));
-  }
-  return samples;
-}
-
-ml::GridSample placeAndExtract(apps::AppDesign&& app,
-                               const fpga::Device& device,
-                               const FlowConfig& config) {
+fpga::CongestionMap placeAndExtract(apps::AppDesign&& app,
+                                    const fpga::Device& device,
+                                    const FlowConfig& config) {
   HCP_SPAN("place_and_extract");
   hls::SynthesisOptions synth = config.synthesis;
   const hls::SynthesizedDesign design =
@@ -69,15 +20,13 @@ ml::GridSample placeAndExtract(apps::AppDesign&& app,
   HCP_CHECK_MSG(netlistIssues.empty(), app.name << ": "
                                                 << netlistIssues.front());
   // Mirror runFlow's parameter derivation exactly: a mismatch here would
-  // silently hand the model features from a different placement than the one
-  // its training targets were routed on.
+  // estimate a different placement than the one runFlow routes.
   fpga::ParConfig par = config.par;
   par.placer.seed = config.seed;
   const fpga::Packing packing = fpga::pack(rtl.netlist, device);
   const fpga::Placement placement =
       fpga::place(packing, device, par.placer);
-  return gridSampleFor(packing, placement, device,
-                       gridConfigFor(par.placer));
+  return fpga::estimateRudy(packing, placement, device);
 }
 
 }  // namespace hcp::core

@@ -1,44 +1,22 @@
-// Congestion-map training and prediction glue: converts finished flows into
-// ml::MapSample batches (grid features from the placed netlist, targets from
-// the routed congestion map) and runs the placement-only partial flow the
-// predict path needs — synthesize -> RTL -> pack -> place, seeded exactly
-// like core::runFlow, but with routing and STA skipped. That skip is the
-// paper's point: the map model answers "where will congestion land" without
-// paying for the router.
+// The congestion-map predictor: the placement-only partial flow —
+// synthesize -> RTL -> pack -> place, seeded exactly like core::runFlow —
+// followed by fpga::estimateRudy of the placement. Routing and STA are
+// skipped; that skip is the paper's point: the map answers "where will
+// congestion land" without paying for the router. No learned model sits on
+// top: the ones tried scored a higher held-out MAE than RUDY itself
+// (EXPERIMENTS.md "The RUDY gate").
 #pragma once
-
-#include <span>
-#include <vector>
 
 #include "apps/app_design.hpp"
 #include "core/flow.hpp"
-#include "features/grid_features.hpp"
-#include "ml/mapnet.hpp"
+#include "fpga/congestion.hpp"
 
 namespace hcp::core {
 
-/// Grid-feature config matching the placer the flow actually ran (the
-/// region_dist channel must use the same region grid the spreader used).
-features::GridFeatureConfig gridConfigFor(const fpga::PlacerConfig& placer);
-
-/// Packs one placed implementation's grid features into the model's input
-/// layout (channel order = features::GridFeatures::channels()).
-ml::GridSample gridSampleFor(const fpga::Packing& packing,
-                             const fpga::Placement& placement,
-                             const fpga::Device& device,
-                             const features::GridFeatureConfig& grid);
-
-/// One training sample per flow: features from impl.packing/placement,
-/// per-tile V/H utilization targets from the routed map.
-std::vector<ml::MapSample> buildMapSamples(
-    std::span<const FlowResult> flows, const fpga::Device& device,
-    const features::GridFeatureConfig& grid);
-
-/// The predict-time partial flow. Replicates runFlow's seed derivation
-/// (placer seed = config.seed) so the features match what training saw for
-/// the same design + config, then stops after placement. Consumes the app.
-ml::GridSample placeAndExtract(apps::AppDesign&& app,
-                               const fpga::Device& device,
-                               const FlowConfig& config = {});
+/// Places the design exactly as runFlow would (placer seed = config.seed)
+/// and returns the RUDY estimate of that placement. Consumes the app.
+fpga::CongestionMap placeAndExtract(apps::AppDesign&& app,
+                                    const fpga::Device& device,
+                                    const FlowConfig& config = {});
 
 }  // namespace hcp::core

@@ -88,6 +88,15 @@ std::string CongestionMap::toAscii(bool vertical) const {
   return os.str();
 }
 
+std::vector<double> CongestionMap::utilization(bool vertical) const {
+  std::vector<double> out;
+  out.reserve(vDemand_.size());
+  for (std::uint32_t y = 0; y < height_; ++y)
+    for (std::uint32_t x = 0; x < width_; ++x)
+      out.push_back(vertical ? vUtil(x, y) : hUtil(x, y));
+  return out;
+}
+
 std::string CongestionMap::toCsv() const {
   std::ostringstream os;
   os << "x,y,v_util,h_util\n";

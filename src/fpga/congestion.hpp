@@ -80,13 +80,6 @@ class CongestionMap {
   double hUtil(std::uint32_t x, std::uint32_t y) const {
     return 100.0 * hDemand_[idx(x, y)] / hCapAt(x, y);
   }
-  double avgUtil(std::uint32_t x, std::uint32_t y) const {
-    return 0.5 * (vUtil(x, y) + hUtil(x, y));
-  }
-
-  double vCapacity() const { return vCap_; }
-  double hCapacity() const { return hCap_; }
-
   double maxVUtil() const;
   double maxHUtil() const;
   double meanHUtil() const;
@@ -104,6 +97,9 @@ class CongestionMap {
   /// ASCII heat map ('.' <25%, ':' <50%, '+' <75%, '#' <100%, '@' >=100%),
   /// one row per device row, for the Fig 1 / Fig 6 bench output.
   std::string toAscii(bool vertical) const;
+
+  /// Per-tile V (or H) utilization in percent, row-major.
+  std::vector<double> utilization(bool vertical) const;
 
   /// CSV with columns x,y,v_util,h_util.
   std::string toCsv() const;

@@ -34,7 +34,6 @@ Device::Device(Config config) : config_(std::move(config)) {
       byType_[static_cast<std::size_t>(t)].emplace_back(x, y);
       const TileCapacity cap = tileCapacity(x, y);
       totalLut_ += cap.lut;
-      totalFf_ += cap.ff;
       totalDsp_ += cap.dsp;
       totalBram_ += cap.bram;
     }

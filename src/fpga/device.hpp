@@ -97,7 +97,6 @@ class Device {
 
   /// Device-level totals (used for utilization-ratio features).
   double totalLut() const { return totalLut_; }
-  double totalFf() const { return totalFf_; }
   double totalDsp() const { return totalDsp_; }
   double totalBram() const { return totalBram_; }
 
@@ -117,7 +116,7 @@ class Device {
   std::vector<TileType> types_;
   std::vector<double> boost_;  ///< per-tile channel-capacity multiplier
   std::array<std::vector<std::pair<std::uint32_t, std::uint32_t>>, 4> byType_;
-  double totalLut_ = 0.0, totalFf_ = 0.0, totalDsp_ = 0.0, totalBram_ = 0.0;
+  double totalLut_ = 0.0, totalDsp_ = 0.0, totalBram_ = 0.0;
 };
 
 }  // namespace hcp::fpga

@@ -47,6 +47,22 @@ CongestionMap CongestionMap::read(std::istream& is) {
   return map;
 }
 
+void writeMapArtifact(std::ostream& os, const CongestionMap& map) {
+  txt::preparePrecision(os);
+  os << "hcp-map 1\n" << map.width() << ' ' << map.height() << '\n';
+  os << "vutil ";
+  txt::writeVec(os, map.utilization(true));
+  os << "\nhutil ";
+  txt::writeVec(os, map.utilization(false));
+  os << '\n';
+}
+
+void saveMapArtifact(const CongestionMap& map, const std::string& path) {
+  txt::CheckedFileWriter writer(path, "mapout");
+  writeMapArtifact(writer.stream(), map);
+  writer.commit();
+}
+
 // --- Implementation ---------------------------------------------------------
 
 void writeImplementation(std::ostream& os, const Implementation& impl) {

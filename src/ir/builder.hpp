@@ -20,7 +20,6 @@ class Builder {
     line_ = line;
     return *this;
   }
-  std::int32_t currentLine() const { return line_; }
 
   // --- structure -------------------------------------------------------
   /// Opens a loop region nested in the current one.
@@ -57,15 +56,12 @@ class Builder {
   OpId sub(OpId a, OpId b) { return binary(Opcode::Sub, a, b); }
   OpId mul(OpId a, OpId b) { return binaryWide(Opcode::Mul, a, b); }
   OpId div(OpId a, OpId b) { return binary(Opcode::Div, a, b); }
-  OpId rem(OpId a, OpId b) { return binary(Opcode::Rem, a, b); }
   OpId fadd(OpId a, OpId b) { return binary(Opcode::FAdd, a, b); }
   OpId fsub(OpId a, OpId b) { return binary(Opcode::FSub, a, b); }
   OpId fmul(OpId a, OpId b) { return binary(Opcode::FMul, a, b); }
   OpId fdiv(OpId a, OpId b) { return binary(Opcode::FDiv, a, b); }
   OpId and_(OpId a, OpId b) { return binary(Opcode::And, a, b); }
-  OpId or_(OpId a, OpId b) { return binary(Opcode::Or, a, b); }
   OpId xor_(OpId a, OpId b) { return binary(Opcode::Xor, a, b); }
-  OpId shl(OpId a, OpId b) { return binary(Opcode::Shl, a, b); }
   OpId lshr(OpId a, OpId b) { return binary(Opcode::LShr, a, b); }
   OpId min(OpId a, OpId b) { return binary(Opcode::Min, a, b); }
   OpId max(OpId a, OpId b) { return binary(Opcode::Max, a, b); }

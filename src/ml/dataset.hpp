@@ -32,18 +32,6 @@ class Dataset {
     targets_.push_back(target);
   }
 
-  /// Appends `other`'s rows; `other` may be this dataset (its rows are
-  /// then doubled).
-  void merge(const Dataset& other) {
-    HCP_CHECK_MSG(numFeatures_ == 0 || other.size() == 0 ||
-                      other.numFeatures() == numFeatures_,
-                  "merge feature-count mismatch: dataset has "
-                      << numFeatures_ << " features, other has "
-                      << other.numFeatures());
-    const std::size_t n = other.size();  // bound at entry: `other` may be *this
-    for (std::size_t i = 0; i < n; ++i) add(other.row(i), other.target(i));
-  }
-
   std::size_t size() const { return targets_.size(); }
   std::size_t numFeatures() const { return numFeatures_; }
   const std::vector<double>& row(std::size_t i) const {
@@ -89,7 +77,6 @@ class StandardScaler {
   std::vector<double> transform(const std::vector<double>& row) const;
   bool fitted() const { return !mean_.empty(); }
   const std::vector<double>& mean() const { return mean_; }
-  const std::vector<double>& std() const { return std_; }
 
   /// Text serialization (used by ml/serialize). read() rejects a std that
   /// is not positive: a fit never writes one, and it would make every

@@ -26,10 +26,11 @@
 //   top_k      optional positive integer, default 10 (predict)
 //   directives optional bool, default true (predict, flow, predict_map)
 //
-// predict_map requires the daemon to have been started with --map-model;
-// without one, every predict_map request is answered with ok:false. The
-// response carries the full per-tile grid: "v_util"/"h_util" arrays of
-// width*height doubles (row-major, %.17g — byte-identical across runs).
+// predict_map places the design (no routing) and answers with the RUDY
+// estimate of that placement, the same map `hcp_cli predict-map` prints; it
+// needs no model. The response carries the full per-tile grid:
+// "v_util"/"h_util" arrays of width*height doubles (row-major, %.17g —
+// byte-identical across runs, the hcp-map artifact's values).
 //
 // Unknown members and wrong types are rejected per-request with an
 // {"ok":false,"error":...} response — a malformed request can never take

@@ -12,7 +12,6 @@
 #include "core/flow_serialize.hpp"
 #include "core/map_predictor.hpp"
 #include "core/predictor.hpp"
-#include "ml/mapnet.hpp"
 #include "hls/design.hpp"
 #include "support/error.hpp"
 #include "support/failpoint.hpp"
@@ -84,9 +83,6 @@ Server::Server(ServerConfig config)
   if (!config_.modelPath.empty())
     predictor_ = std::make_unique<core::CongestionPredictor>(
         core::CongestionPredictor::load(config_.modelPath));
-  if (!config_.mapModelPath.empty())
-    mapModel_ = std::make_unique<ml::MapNet>(
-        ml::loadMapModelFromFile(config_.mapModelPath));
 }
 
 Server::~Server() = default;
@@ -344,39 +340,32 @@ Server::WorkResult Server::executeFlow(const Request& r) const {
 }
 
 Server::WorkResult Server::executePredictMap(const Request& r) const {
-  if (!mapModel_)
-    throw Error("no map model loaded (start hcp_serve with --map-model FILE)");
   core::FlowConfig cfg;
   cfg.seed = r.seed;
-  const ml::GridSample grid = core::placeAndExtract(
+  const fpga::CongestionMap map = core::placeAndExtract(
       apps::makeDesign(r.design, r.directives), device_, cfg);
-  const ml::MapPrediction map = mapModel_->predict(grid);
 
   WorkResult out;
   std::string& b = out.body;
   b = "\"ok\":true,\"op\":\"predict_map\",\"design\":\"";
   b += json::escape(r.design);
-  b += "\",\"topology\":\"";
-  b += topologyName(mapModel_->config().topology);
   b += "\",\"width\":";
-  appendU64(b, map.width);
+  appendU64(b, map.width());
   b += ",\"height\":";
-  appendU64(b, map.height);
+  appendU64(b, map.height());
   b += ",\"max_v_util\":";
   appendDouble(b, map.maxVUtil());
   b += ",\"max_h_util\":";
   appendDouble(b, map.maxHUtil());
   b += ",\"tiles_over_100\":";
   appendU64(b, map.tilesOver(100.0));
-  b += ",\"v_util\":[";
-  for (std::size_t i = 0; i < map.vUtil.size(); ++i) {
-    if (i != 0) b += ',';
-    appendDouble(b, map.vUtil[i]);
-  }
-  b += "],\"h_util\":[";
-  for (std::size_t i = 0; i < map.hUtil.size(); ++i) {
-    if (i != 0) b += ',';
-    appendDouble(b, map.hUtil[i]);
+  for (const bool vertical : {true, false}) {
+    b += vertical ? ",\"v_util\":[" : "],\"h_util\":[";
+    const std::vector<double> util = map.utilization(vertical);
+    for (std::size_t i = 0; i < util.size(); ++i) {
+      if (i != 0) b += ',';
+      appendDouble(b, util[i]);
+    }
   }
   b += "]}";
   return out;
@@ -385,8 +374,6 @@ Server::WorkResult Server::executePredictMap(const Request& r) const {
 std::string Server::statusBody() const {
   std::string b = "\"ok\":true,\"op\":\"status\",\"model\":";
   b += predictor_ ? "true" : "false";
-  b += ",\"map_model\":";
-  b += mapModel_ ? "true" : "false";
   b += ",\"uptime_ms\":";
   appendDouble(b, uptimeMs());
   b += ",\"requests_in_flight\":";

@@ -33,15 +33,11 @@
 namespace hcp::core {
 class CongestionPredictor;
 }
-namespace hcp::ml {
-class MapNet;
-}
 
 namespace hcp::serve {
 
 struct ServerConfig {
   std::string modelPath;  ///< predictor to preload ("" = flow/status only)
-  std::string mapModelPath;  ///< map model ("" = predict_map unavailable)
   std::size_t maxBatch = 8;        ///< work items per pool dispatch
   std::size_t queueDepth = 64;     ///< pending work items between flushes
   std::size_t maxLineBytes = 1 << 20;  ///< request line size limit
@@ -84,7 +80,6 @@ class Server {
 
   const ServerStats& stats() const { return stats_; }
   bool hasModel() const { return predictor_ != nullptr; }
-  bool hasMapModel() const { return mapModel_ != nullptr; }
   /// True once a shutdown request was served — the Unix-socket accept loop
   /// uses this to tell "client hung up, accept the next one" from "daemon
   /// was asked to stop".
@@ -128,7 +123,6 @@ class Server {
   ServerConfig config_;
   fpga::Device device_;
   std::unique_ptr<core::CongestionPredictor> predictor_;
-  std::unique_ptr<ml::MapNet> mapModel_;
   std::vector<Pending> pending_;
   std::size_t pendingWork_ = 0;  ///< queue occupancy (needsWork items)
   bool shutdown_ = false;

@@ -7,11 +7,10 @@
 #   - flow --report writes a valid run report that counts accepted placer
 #     moves and router iterations;
 #   - usage errors exit 2: a non-numeric --seed, an unknown flag, --report
-#     without a value, an empty --trace=, and a --topology other than
-#     tilelinear|conv; a process-shell flag's message carries the
-#     `hcp_cli: ` prefix;
-#   - integer flags are strict: a signed, space-padded or negative --seed,
-#     --threads or --epochs exits 2;
+#     without a value and an empty --trace=; a process-shell flag's message
+#     carries the `hcp_cli: ` prefix;
+#   - integer flags are strict: a signed, space-padded or negative --seed
+#     or --threads exits 2;
 #   - a truncated model exits 1;
 #   - a malformed HCP_THREADS (garbage, 4abc, 0) exits 2, even for a
 #     subcommand that never threads, while an empty one means the default;
@@ -39,16 +38,12 @@ expect_exit 2 "$cli" flow spam_filter --report
 need '^hcp_cli: --report expects a value$' err.txt
 expect_exit 2 "$cli" flow face_detection --trace=
 need '^hcp_cli: --trace expects a non-empty value$' err.txt
-expect_exit 2 "$cli" train-map m.hcp spam_filter --topology lattice
-need 'topology' err.txt
-[ ! -e m.hcp ] || fail "rejected train-map wrote m.hcp"
 
 # Integer flags are strict: no sign, no padding, no wrap to 2^64-1.
 expect_exit 2 "$cli" dump-ir spam_filter --seed -1
 expect_exit 2 "$cli" dump-ir spam_filter --seed +7
 expect_exit 2 "$cli" dump-ir spam_filter --seed ' 7'
 expect_exit 2 "$cli" dump-ir spam_filter --threads -1
-expect_exit 2 "$cli" dump-ir spam_filter --epochs -1
 
 run train.log "$cli" train model.hcp spam_filter
 head -c 100 model.hcp > truncated.hcp

@@ -28,45 +28,6 @@ TEST(Dataset, ArityEnforced) {
   EXPECT_THROW(d.add({1, 2}, 0), hcp::Error);
 }
 
-TEST(Dataset, MergeAppends) {
-  Dataset a(1), b(1);
-  a.add({1}, 1);
-  b.add({2}, 2);
-  a.merge(b);
-  EXPECT_EQ(a.size(), 2u);
-}
-
-TEST(Dataset, MergeRejectsFeatureCountMismatch) {
-  // Before the check, merging a 3-feature dataset into a 2-feature one
-  // produced rows whose length disagreed with numFeatures() — every later
-  // row() consumer indexed out of step.
-  Dataset a(2), b(3);
-  a.add({1, 2}, 1);
-  b.add({1, 2, 3}, 2);
-  try {
-    a.merge(b);
-    FAIL() << "mismatched merge not rejected";
-  } catch (const hcp::Error& e) {
-    EXPECT_NE(std::string(e.what()).find("feature-count mismatch"),
-              std::string::npos);
-  }
-  EXPECT_EQ(a.size(), 1u);  // the failed merge appended nothing
-}
-
-TEST(Dataset, MergeIntoItselfDoublesRows) {
-  // The append loop must stop at the size on entry, or a self-merge chases
-  // its own growth until memory runs out.
-  Dataset d(2);
-  d.add({1, 2}, 10);
-  d.add({3, 4}, 20);
-  d.merge(d);
-  ASSERT_EQ(d.size(), 4u);
-  EXPECT_EQ(d.row(2), d.row(0));
-  EXPECT_EQ(d.row(3), d.row(1));
-  EXPECT_DOUBLE_EQ(d.target(2), 10);
-  EXPECT_DOUBLE_EQ(d.target(3), 20);
-}
-
 TEST(TrainTestSplit, DisjointAndComplete) {
   const Split split = trainTestSplit(100, 0.2, 42);
   EXPECT_EQ(split.test.size(), 20u);

@@ -7,7 +7,10 @@
 # JSON, then runs it again against the first run's per-op means. Against its
 # own K-seed means each seed's error is exactly (K-1)/K of its leave-one-out
 # error, so at K = 2 every design's cross MAE (op and line level, V and H)
-# must equal half its reported floor, over all of its ops.
+# must equal half its reported floor, over all of its ops. Every design and
+# the mean also carry the routed-map floor and RUDY's score against the
+# routed map: top-decile IoUs in [0, 1] and non-negative MAEs, with a
+# positive map floor MAE (two placements never route identically).
 set -u
 . "$(dirname "$0")/lib.sh"
 bench=$(abspath "$1")
@@ -33,6 +36,12 @@ for d in report["designs"]:
             assert floor > 0, (d["design"], level, axis)
             assert abs(cross - floor / 2) <= 1e-9 * floor, \
                 (d["design"], level, axis, cross, floor)
+for d in report["designs"] + [report["mean"]]:
+    for axis in ("v", "h"):
+        for row in ("map_floor", "rudy"):
+            assert 0 <= d[f"{row}_iou_{axis}"] <= 1, (d, row, axis)
+            assert d[f"{row}_mae_{axis}"] >= 0, (d, row, axis)
+        assert d[f"map_floor_mae_{axis}"] > 0, (d, axis)
 PY
 echo "noise_floor writes valid JSON and its self-reference cross MAE is" \
   "half its floor at two seeds"

@@ -15,13 +15,9 @@
 //       HLS-synthesize the design (no PAR) and print predicted hotspots
 //   hcp_cli advise <model.hcp> <design>
 //       predict + print congestion-resolution hints
-//   hcp_cli train-map <map.hcp> <design> [<design> ...]
-//           [--topology tilelinear|conv] [--epochs N]
-//       run flows, extract per-tile grid features and train a congestion-
-//       *map* model (full V/H heat map, not per-op scalars)
-//   hcp_cli predict-map <map.hcp> <design> [--map-out FILE]
-//       synthesize + pack + place (no routing), predict the V/H congestion
-//       maps and print them; --map-out writes the map artifact
+//   hcp_cli predict-map <design> [--map-out FILE]
+//       synthesize + pack + place (no routing), print the RUDY estimate of
+//       the V/H congestion maps; --map-out writes the hcp-map artifact
 //   hcp_cli dump-ir <design>
 //       print the post-directive IR of the design's top module
 //   hcp_cli dump-verilog <design>
@@ -46,9 +42,6 @@
 //   --model KIND      predictor kind for `train`: gbrt (default), ann, linear
 //   --shard-dir DIR   dataset shard directory for `shard` and
 //                     `train --from-shards`; HCP_SHARDS is the fallback
-//   --topology KIND   map-model topology for `train-map`: conv (default) or
-//                     tilelinear
-//   --epochs N        SGD epochs for `train-map` (default 40)
 //   --map-out FILE    where `predict-map` writes the map artifact
 //
 // `list` and `compare-reports` inspect rather than run: they take no
@@ -71,10 +64,11 @@
 #include "apps/registry.hpp"
 #include "core/dataset_builder.hpp"
 #include "core/flow.hpp"
-#include "core/shard_builder.hpp"
 #include "core/map_predictor.hpp"
 #include "core/predictor.hpp"
 #include "core/resolver.hpp"
+#include "core/shard_builder.hpp"
+#include "fpga/serialize.hpp"
 #include "ir/printer.hpp"
 #include "rtl/verilog.hpp"
 #include "support/env.hpp"
@@ -99,8 +93,8 @@ apps::AppDesign makeDesign(const std::string& name, bool withDirectives) {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: hcp_cli <flow|train|shard|predict|advise|train-map|"
-               "predict-map|dump-ir|dump-verilog|list|compare-reports> ..."
+               "usage: hcp_cli <flow|train|shard|predict|advise|predict-map|"
+               "dump-ir|dump-verilog|list|compare-reports> ..."
                "\n(see the header of tools/hcp_cli.cpp for details)\n");
   return 2;
 }
@@ -128,8 +122,6 @@ struct Args {
   std::uint64_t seed = 42;
   bool directives = true;
   std::string model = "gbrt";
-  std::string topology = "conv";
-  std::uint64_t epochs = 40;
   std::string mapOut;       ///< empty = predict-map prints only
   std::string shardDir;     ///< dataset shard directory (HCP_SHARDS fallback)
   bool fromShards = false;  ///< `train --from-shards`
@@ -165,13 +157,6 @@ Args parse(const std::vector<std::string>& argv) {
       args.directives = false;
     } else if (a == "--model") {
       args.model = value(i);
-    } else if (a == "--topology") {
-      args.topology = value(i);
-      if (args.topology != "tilelinear" && args.topology != "conv")
-        usageError("--topology expects tilelinear or conv, got '" +
-                   args.topology + "'");
-    } else if (a == "--epochs") {
-      args.epochs = support::env::parseCount(a, value(i), 1, usageError);
     } else if (a == "--map-out") {
       args.mapOut = nonEmpty(i);
     } else if (a.rfind("--", 0) == 0) {
@@ -385,60 +370,23 @@ int run(support::process::Session& session, const std::string& cmd) {
                     std::string(core::resolutionKindName(hint.kind)).c_str(),
                     hint.message.c_str());
     }
-  } else if (cmd == "train-map") {
-    if (args.positional.size() < 2) return usage();
-    const std::string modelPath = args.positional[0];
-    ml::MapNetConfig mapCfg;
-    mapCfg.topology = ml::topologyFromName(args.topology);
-    mapCfg.epochs = args.epochs;
-    mapCfg.seed = args.seed;
-
-    std::vector<apps::AppDesign> designs;
-    for (std::size_t i = 1; i < args.positional.size(); ++i) {
-      reportDesigns.push_back(args.positional[i]);
-      designs.push_back(makeDesign(args.positional[i], args.directives));
-    }
-    core::FlowConfig cfg;
-    cfg.seed = args.seed;
-    std::fprintf(stderr, "[hcp] running %zu flow%s (%zu thread%s)...\n",
-                 designs.size(), designs.size() == 1 ? "" : "s",
-                 support::threadLimit(),
-                 support::threadLimit() == 1 ? "" : "s");
-    const auto flows = core::runFlows(designs, device, cfg);
-    const auto samples = core::buildMapSamples(
-        flows, device, core::gridConfigFor(cfg.par.placer));
-    if (samples.empty())
-      usageError("training dataset is empty: " + std::to_string(flows.size()) +
-                 " flow(s) produced no congestion maps — the map model "
-                 "would have nothing to fit");
-    std::fprintf(stderr, "[hcp] training %s map model on %zu map%s...\n",
-                 args.topology.c_str(), samples.size(),
-                 samples.size() == 1 ? "" : "s");
-    ml::MapNet model(mapCfg);
-    model.fit(samples);
-    ml::saveMapModelToFile(model, modelPath);
-    std::printf("saved %s map model to %s (%zu maps, final loss %.6f)\n",
-                args.topology.c_str(), modelPath.c_str(), samples.size(),
-                model.finalLoss());
   } else if (cmd == "predict-map") {
-    if (args.positional.size() != 2) return usage();
-    reportDesigns = {args.positional[1]};
-    const ml::MapNet model = ml::loadMapModelFromFile(args.positional[0]);
+    if (args.positional.size() != 1) return usage();
+    reportDesigns = {args.positional[0]};
     core::FlowConfig cfg;
     cfg.seed = args.seed;
-    const ml::GridSample grid = core::placeAndExtract(
-        makeDesign(args.positional[1], args.directives), device, cfg);
-    const ml::MapPrediction map = model.predict(grid);
+    const fpga::CongestionMap map = core::placeAndExtract(
+        makeDesign(args.positional[0], args.directives), device, cfg);
     std::printf("predicted congestion map for %s (no routing was run):\n",
-                args.positional[1].c_str());
-    std::printf("grid            : %ux%u\n", map.width, map.height);
+                args.positional[0].c_str());
+    std::printf("grid            : %ux%u\n", map.width(), map.height());
     std::printf("max congestion  : V %.1f%%  H %.1f%%\n", map.maxVUtil(),
                 map.maxHUtil());
     std::printf("tiles over 100%% : %zu\n", map.tilesOver(100.0));
     std::printf("\nvertical:\n%s", map.toAscii(true).c_str());
     std::printf("\nhorizontal:\n%s", map.toAscii(false).c_str());
     if (!args.mapOut.empty()) {
-      ml::saveMapPredictionToFile(map, args.mapOut);
+      fpga::saveMapArtifact(map, args.mapOut);
       std::fprintf(stderr, "[hcp] map artifact written to %s\n",
                    args.mapOut.c_str());
     }

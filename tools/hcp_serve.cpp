@@ -13,9 +13,6 @@
 //   --model FILE      predictor saved by `hcp_cli train` (optional: without
 //                     it, predict requests get per-request errors but flow /
 //                     status requests still work)
-//   --map-model FILE  congestion-map model saved by `hcp_cli train-map`
-//                     (optional: without it, predict_map requests get
-//                     per-request errors)
 //   --socket PATH     listen on a Unix socket instead of stdin/stdout
 //   --max-batch N     work items per thread-pool dispatch (default 8)
 //   --queue-depth N   pending requests admitted between flushes (default 64;
@@ -71,8 +68,7 @@ namespace {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: hcp_serve [--model FILE] [--map-model FILE] [--socket PATH]\n"
-      "                 [--max-batch N]\n"
+      "usage: hcp_serve [--model FILE] [--socket PATH] [--max-batch N]\n"
       "                 [--queue-depth N] [--max-line-bytes N]\n"
       "                 [--status-every N] [--threads N] [--tick-ns N]\n"
       "                 [--metrics-out FILE] [--metrics-interval N]\n"
@@ -115,8 +111,6 @@ Args parse(const std::vector<std::string>& argv) {
     };
     if (arg == "--model") {
       args.config.modelPath = need();
-    } else if (arg == "--map-model") {
-      args.config.mapModelPath = need();
     } else if (arg == "--socket") {
       args.socketPath = need();
     } else if (arg == "--max-batch") {
@@ -204,12 +198,9 @@ int run(support::process::Session& session) {
         session.tracePath(), {session.report().tool, "serve"});
   }
 
-  serve::Server server(args.config);  // models load here, once
-  std::fprintf(stderr,
-               "[hcp_serve] ready (model: %s, map model: %s, %zu thread%s)\n",
+  serve::Server server(args.config);  // the model loads here, once
+  std::fprintf(stderr, "[hcp_serve] ready (model: %s, %zu thread%s)\n",
                server.hasModel() ? args.config.modelPath.c_str() : "none",
-               server.hasMapModel() ? args.config.mapModelPath.c_str()
-                                    : "none",
                support::threadLimit(),
                support::threadLimit() == 1 ? "" : "s");
 

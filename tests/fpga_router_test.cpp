@@ -12,6 +12,7 @@
 #include "hls/design.hpp"
 #include "rtl/generator.hpp"
 #include "support/envelope.hpp"
+#include "support/telemetry.hpp"
 
 namespace hcp::fpga {
 namespace {
@@ -171,6 +172,25 @@ std::string routingDigest(const RoutingResult& r, const Device& dev) {
   return h.hex();
 }
 
+/// Routes and returns how many tiles the sink searches settled (the
+/// `router_tiles_settled` delta). The digest pins what the searches
+/// return; the settled count pins how much work they did, which the open
+/// list's order among entries of equal f can change without changing any
+/// route.
+std::uint64_t routeSettled(const Fixture& f, const Device& dev,
+                           const RouterConfig& cfg, RoutingResult& out) {
+  namespace tm = support::telemetry;
+  const bool wasEnabled = tm::enabled();
+  tm::setEnabled(true);
+  const std::uint64_t before =
+      tm::snapshot().counter(tm::Counter::RouterTilesSettled);
+  out = route(f.packing, f.placement, dev, cfg);
+  const std::uint64_t after =
+      tm::snapshot().counter(tm::Counter::RouterTilesSettled);
+  tm::setEnabled(wasEnabled);
+  return after - before;
+}
+
 // Golden routings. The first two digests were written while the full-grid
 // overflow/history sweep still existed and was asserted byte-identical to
 // the dirty-tile sweep on exactly these inputs, so they are that reference
@@ -252,30 +272,38 @@ TEST(Router, GoldenRandomFixtures) {
     std::uint64_t seed;
     std::size_t n;
     const char* digest;
+    std::uint64_t settled;
   };
   const Case cases[] = {
-      {1, 24, "b5253e3e077f5f63"},  {1, 120, "b54e05f6d71ea926"},
-      {1, 360, "9b65f121ac175191"},  {7, 24, "fcf6540b3825e7f3"},
-      {7, 120, "978d6a2b16912eab"},  {7, 360, "99b33492ef82e0c7"},
-      {42, 24, "e82d53c7c88db951"}, {42, 120, "16e6c25eb7856a2b"},
-      {42, 360, "8fc0390fbf76e934"},
+      {1, 24, "b5253e3e077f5f63", 4777},
+      {1, 120, "b54e05f6d71ea926", 129745},
+      {1, 360, "9b65f121ac175191", 1668426},
+      {7, 24, "fcf6540b3825e7f3", 2637},
+      {7, 120, "978d6a2b16912eab", 131916},
+      {7, 360, "99b33492ef82e0c7", 1659135},
+      {42, 24, "e82d53c7c88db951", 2013},
+      {42, 120, "16e6c25eb7856a2b", 100330},
+      {42, 360, "8fc0390fbf76e934", 1553472},
   };
   const Device dev = Device::xc7z020like();
   RouterConfig cfg;
   cfg.maxIterations = 8;
   for (const Case& c : cases) {
     const Fixture f = randomFixture(c.seed * 1000 + c.n, c.n);
-    const auto r = route(f.packing, f.placement, dev, cfg);
+    RoutingResult r;
+    const std::uint64_t settled = routeSettled(f, dev, cfg, r);
     EXPECT_GT(r.iterationsRun, 1) << "seed " << c.seed << " n " << c.n;
     EXPECT_EQ(routingDigest(r, dev), c.digest)
         << "seed " << c.seed << " n " << c.n;
+    EXPECT_EQ(settled, c.settled) << "seed " << c.seed << " n " << c.n;
   }
 }
 
 TEST(Router, GoldenEqualCostTies) {
   const Fixture f = tieFixture();
   const Device dev = Device::xc7z020like();
-  const auto r = route(f.packing, f.placement, dev, {});
+  RoutingResult r;
+  EXPECT_EQ(routeSettled(f, dev, {}, r), 1356u);
   EXPECT_EQ(r.iterationsRun, 1);
   EXPECT_EQ(r.overflowTiles, 0u);
   EXPECT_EQ(routingDigest(r, dev), "be0aa7e1a2d519dc");
@@ -286,12 +314,11 @@ TEST(Router, GoldenZeroMargin) {
   RouterConfig cfg;
   cfg.maxIterations = 8;
   cfg.bboxMargin = 0;
-  const Fixture ties = tieFixture();
-  EXPECT_EQ(routingDigest(route(ties.packing, ties.placement, dev, cfg), dev),
-            "be0aa7e1a2d519dc");
-  const Fixture dense = randomFixture(5120, 120);
-  EXPECT_EQ(routingDigest(route(dense.packing, dense.placement, dev, cfg), dev),
-            "560720043e734504");
+  RoutingResult r;
+  EXPECT_EQ(routeSettled(tieFixture(), dev, cfg, r), 912u);
+  EXPECT_EQ(routingDigest(r, dev), "be0aa7e1a2d519dc");
+  EXPECT_EQ(routeSettled(randomFixture(5120, 120), dev, cfg, r), 90687u);
+  EXPECT_EQ(routingDigest(r, dev), "560720043e734504");
 }
 
 TEST(Router, UtilizationAccountsCapacityBoost) {

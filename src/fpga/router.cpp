@@ -1,7 +1,9 @@
 #include "fpga/router.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "support/telemetry.hpp"
 
@@ -32,6 +34,94 @@ struct Window {
   std::size_t idx(std::uint32_t x, std::uint32_t y) const {
     return static_cast<std::size_t>(y - y0) * w() + (x - x0);
   }
+};
+
+/// The sink search's open list: a 4-ary min-heap of (f, window index)
+/// entries, each packed into one unsigned 128-bit key, f's IEEE-754 bits
+/// above the index. f is finite and >= +0, and the bits of such doubles
+/// sort like their values, so unsigned order on the keys is exactly the
+/// lexicographic (f, index) order. That order is total (only identical
+/// entries tie), so any correct min-heap returns the same entries in the
+/// same order; this one just compares one integer instead of branching on
+/// f ties, and halves the sift-down depth of a binary heap.
+class OpenList {
+ public:
+  void clear() {
+    std::fill_n(keys_.begin(), size_, kEmpty);
+    size_ = 0;
+  }
+  bool empty() const { return size_ == 0; }
+  /// f of the least entry; the list must not be empty.
+  double minF() const { return fOf(keys_[0]); }
+
+  void push(double f, std::uint32_t index) {
+#ifndef NDEBUG
+    // Debug-build check of the packing's premise: a NaN, infinite or
+    // negative f would not sort like its value.
+    HCP_CHECK_MSG(std::isfinite(f) && !std::signbit(f),
+                  "router: open-list f " << f << " is not finite and >= +0");
+#endif
+    const Key key = (Key{std::bit_cast<std::uint64_t>(f)} << 64) | index;
+    // pop() reads four child slots wherever the first child is an entry,
+    // so three kEmpty slots must follow the last entry.
+    if (keys_.size() < size_ + 4) keys_.resize(size_ + 4, kEmpty);
+    std::size_t i = size_++;
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 4;
+      if (keys_[parent] <= key) break;
+      keys_[i] = keys_[parent];
+      i = parent;
+    }
+    keys_[i] = key;
+  }
+
+  /// Removes the least entry and returns its (f, index).
+  std::pair<double, std::uint32_t> pop() {
+    const Key top = keys_[0];
+    const std::size_t n = --size_;
+    const Key last = keys_[n];
+    keys_[n] = kEmpty;
+    if (n > 0) {
+      // Walk the root's hole down to a leaf, moving the least of the four
+      // children up at each level (kEmpty never wins), then sift `last`
+      // up from there.
+      std::size_t i = 0;
+      for (std::size_t c = 1; c < n; c = 4 * i + 1) {
+        const Key k0 = keys_[c], k1 = keys_[c + 1], k2 = keys_[c + 2],
+                  k3 = keys_[c + 3];
+        const std::size_t b1 = k1 < k0;
+        const Key l01 = b1 ? k1 : k0;
+        const std::size_t b3 = k3 < k2;
+        const Key l23 = b3 ? k3 : k2;
+        const std::size_t b = l23 < l01;
+        keys_[i] = b ? l23 : l01;
+        i = c + b1 + b * (2 + b3 - b1);
+      }
+      while (i > 0) {
+        const std::size_t parent = (i - 1) / 4;
+        if (keys_[parent] <= last) break;
+        keys_[i] = keys_[parent];
+        i = parent;
+      }
+      keys_[i] = last;
+    }
+    return {fOf(top), static_cast<std::uint32_t>(top)};
+  }
+
+ private:
+  using Key = unsigned __int128;
+  static_assert(std::numeric_limits<double>::is_iec559,
+                "the packed keys need IEEE-754 doubles");
+  /// Fills unused slots; above every real key, whose top bits are a finite
+  /// double's.
+  static constexpr Key kEmpty = ~Key{0};
+
+  static double fOf(Key key) {
+    return std::bit_cast<double>(static_cast<std::uint64_t>(key >> 64));
+  }
+
+  std::vector<Key> keys_;  // storage survives clear()
+  std::size_t size_ = 0;
 };
 
 class Router {
@@ -206,6 +296,9 @@ class Router {
     // list keeps its heap storage. This removes the per-sink O(window)
     // allocate+fill churn the original router paid.
     const std::size_t tiles = static_cast<std::size_t>(win.w()) * win.h();
+    HCP_CHECK_MSG(tiles <= std::numeric_limits<std::uint32_t>::max(),
+                  "router: search window of " << tiles
+                      << " tiles overflows the open list's 32-bit index");
     if (dist_.size() < tiles) {
       dist_.resize(tiles);
       stamp_.resize(tiles, 0);
@@ -254,25 +347,18 @@ class Router {
       return static_cast<double>(tree_.distance(x, y));
     };
 
-    // Min-heap of (f = dist + h, window index) via push_heap/pop_heap on a
-    // reused vector, whose storage survives clear().
-    using QE = std::pair<double, std::uint32_t>;
-    heap_.clear();
-    const auto push = [&](double f, std::uint32_t i) {
-      heap_.emplace_back(f, i);
-      std::push_heap(heap_.begin(), heap_.end(), std::greater<QE>{});
-    };
+    // Open list of (f = dist + h, window index), least first; routeNet
+    // checked that every window index fits its 32 bits.
+    open_.clear();
     const std::size_t start = win.idx(sink.x, sink.y);
     dist_[start] = 0.0;
     stamp_[start] = epoch_;
-    push(h(sink.x, sink.y), static_cast<std::uint32_t>(start));
+    open_.push(h(sink.x, sink.y), static_cast<std::uint32_t>(start));
 
     double best = std::numeric_limits<double>::infinity();
     std::size_t goal = std::numeric_limits<std::size_t>::max();
-    while (!heap_.empty() && heap_.front().first <= best * kStopSlack) {
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<QE>{});
-      const auto [f, ui] = heap_.back();
-      heap_.pop_back();
+    while (!open_.empty() && open_.minF() <= best * kStopSlack) {
+      const auto [f, ui] = open_.pop();
       const std::uint32_t ux = win.x0 + ui % win.w();
       const std::uint32_t uy = win.y0 + ui / win.w();
       const double d = dist_[ui];
@@ -294,7 +380,7 @@ class Router {
         dist_[vi] = c;
         stamp_[vi] = epoch_;
         if (!inTree_[vi]) {
-          push(c + h(vx, vy), static_cast<std::uint32_t>(vi));
+          open_.push(c + h(vx, vy), static_cast<std::uint32_t>(vi));
         } else if (c < best || (c == best && vi < goal)) {
           best = c;
           goal = vi;
@@ -377,7 +463,7 @@ class Router {
   std::vector<double> dist_;
   std::vector<std::uint64_t> stamp_;
   std::uint64_t epoch_ = 0;
-  std::vector<std::pair<double, std::uint32_t>> heap_;
+  OpenList open_;
 
   // Dirty-tile set: tiles on the work set's final routes, i.e. the only
   // tiles the overflow/history sweep needs to visit (derived at sweep

@@ -14,17 +14,22 @@
 //
 // Alongside the negotiated router there is a RUDY-style probabilistic
 // estimator (net demand smeared over its bounding box, split V/H by aspect
-// ratio), used as the fast baseline in the ablation bench.
+// ratio). It is the congestion map `predict-map` and serve's `predict_map`
+// return for a placement that was never routed (core/map_predictor).
 //
 // Hot-path structure: the per-sink A* state (dist/open list) is
 // epoch-stamped and reused across sinks and nets instead of being
-// reallocated per sink, and the per-iteration overflow/history sweep visits
-// only the dirty tiles touched by that iteration's rip-up/reroute work
-// (every tile that can be overflowed is dirty by construction — see
-// DESIGN.md §15), falling back to the whole grid when the work set is
-// large. These and the A* search are bit-identical to the straightforward
-// forms: golden routing digests, written while a full-grid reference sweep
-// and a Dijkstra sink search still ran, pin the output.
+// reallocated per sink. The open list is a 4-ary min-heap of single 128-bit
+// keys, f's IEEE-754 bits above the window index: their unsigned order is
+// the (f, index) order, so the heap pops exactly what a heap of (f, index)
+// pairs would, without branching on f ties. The per-iteration
+// overflow/history sweep visits only the dirty tiles touched by that
+// iteration's rip-up/reroute work (every tile that can be overflowed is
+// dirty by construction), falling back to the whole grid when the work set
+// is large. These and the A* search are bit-identical to the
+// straightforward forms (DESIGN.md §15): golden routing digests, written
+// while a full-grid reference sweep and a Dijkstra sink search still ran,
+// pin the output, and golden settled-tile counts pin the search's work.
 #pragma once
 
 #include <cstdint>

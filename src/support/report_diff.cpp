@@ -1,7 +1,9 @@
 #include "support/report_diff.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <ostream>
 #include <set>
@@ -278,6 +280,79 @@ int compareReportFiles(const std::string& basePath,
   }
 
   return ok ? kExitOk : kExitRegression;
+}
+
+std::vector<ProfileRow> profileReport(const std::string& path) {
+  const Report report(path);
+  std::vector<ProfileRow> rows;
+  std::map<std::string, std::size_t> rowOf;
+  for (const Value& e : report.spans->array) {
+    const Value* p = e.find("path");
+    const Value* count = e.find("count");
+    const Value* wall = e.find("wall_ms");
+    HCP_CHECK_MSG(p != nullptr && p->isString() && count != nullptr &&
+                      count->isNumber() && wall != nullptr &&
+                      wall->isNumber(),
+                  path << ": span entry without path, count or wall_ms");
+    HCP_CHECK_MSG(rowOf.emplace(p->asString(), rows.size()).second,
+                  path << ": span " << p->asString() << " listed twice");
+    rows.push_back({p->asString(),
+                    static_cast<std::uint64_t>(count->asNumber()),
+                    wall->asNumber(), wall->asNumber(), 0.0});
+  }
+  // Subtract each span from its parent (the path up to its last '/'); a
+  // span without a listed parent is top-level.
+  double topLevelMs = 0.0;
+  for (const ProfileRow& row : rows) {
+    const std::size_t slash = row.path.rfind('/');
+    const auto parent = slash == std::string::npos
+                            ? rowOf.end()
+                            : rowOf.find(row.path.substr(0, slash));
+    if (parent == rowOf.end()) topLevelMs += row.totalMs;
+    else rows[parent->second].selfMs -= row.totalMs;
+  }
+  rows.push_back({kOutsideSpans, 0, 0.0,
+                  std::max(0.0, report.wallMs() - topLevelMs), 0.0});
+  double runMs = 0.0;
+  for (ProfileRow& row : rows) {
+    row.selfMs = std::max(0.0, row.selfMs);
+    runMs += row.selfMs;
+  }
+  if (runMs > 0.0)
+    for (ProfileRow& row : rows) row.share = row.selfMs / runMs;
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const ProfileRow& a, const ProfileRow& b) {
+                     return a.selfMs > b.selfMs;
+                   });
+  return rows;
+}
+
+int printProfile(const std::string& path, std::ostream& out) {
+  std::vector<ProfileRow> rows;
+  try {
+    rows = profileReport(path);
+  } catch (const hcp::Error& e) {
+    out << "profile: bad input: " << e.what() << "\n";
+    return kExitBadInput;
+  }
+  char buf[256];
+  std::snprintf(buf, sizeof buf, "%-36s %8s %12s %12s %8s\n", "span",
+                "calls", "total ms", "self ms", "share");
+  out << buf;
+  for (const ProfileRow& row : rows) {
+    // The outside row is no span: it has no calls and no total of its own.
+    char calls[32] = "-", total[32] = "-";
+    if (row.path != kOutsideSpans) {
+      std::snprintf(calls, sizeof calls, "%llu",
+                    static_cast<unsigned long long>(row.count));
+      std::snprintf(total, sizeof total, "%.2f", row.totalMs);
+    }
+    std::snprintf(buf, sizeof buf, "%-36s %8s %12s %12.2f %7.1f%%\n",
+                  row.path.c_str(), calls, total, row.selfMs,
+                  100.0 * row.share);
+    out << buf;
+  }
+  return kExitOk;
 }
 
 }  // namespace hcp::support::report_diff

@@ -5,7 +5,8 @@
 #
 # Checks, in order:
 #   - flow --report writes a valid run report that counts accepted placer
-#     moves and router iterations;
+#     moves and router iterations, and `profile` prints its spans; a
+#     missing report exits 4 and a missing argument 2;
 #   - usage errors exit 2: a non-numeric --seed, an unknown flag, --report
 #     without a value and an empty --trace=; a process-shell flag's message
 #     carries the `hcp_cli: ` prefix;
@@ -29,6 +30,11 @@ run flow.log "$cli" flow face_detection --report report.json
 run json.log python3 -m json.tool report.json
 need '"placer_moves_accepted": [1-9]' report.json
 need '"router_iterations": [1-9]' report.json
+run profile.log "$cli" profile report.json
+need '^flow/route ' profile.log
+need '^(outside spans) ' profile.log
+expect_exit 4 "$cli" profile missing.json
+expect_exit 2 "$cli" profile
 
 # Usage errors and a corrupt model.
 expect_exit 2 "$cli" flow face_detection --seed abc

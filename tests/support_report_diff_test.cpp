@@ -1,11 +1,13 @@
 // compare-reports is CI's regression gate, so its exit codes are contract:
 // 0 = clean diff, 1 = regression, 4 = malformed input or wrong schema.
 // These tests drive compareReportFiles() on hand-built reports covering
-// every verdict.
+// every verdict, and profileReport() on a checked-in `hcp_cli train`
+// report and on hand-built ones.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -163,6 +165,101 @@ TEST(ReportDiff, BenchOutSummaryIsValidJson) {
   EXPECT_DOUBLE_EQ(bench.find("total_wall_ms")->find("new")->asNumber(),
                    120.0);
   EXPECT_GE(bench.find("regressions")->array.size(), 2u);
+}
+
+/// The rows of profileReport() by path.
+std::map<std::string, ProfileRow> profileByPath(const std::string& path) {
+  std::map<std::string, ProfileRow> rows;
+  for (const ProfileRow& row : profileReport(path)) rows[row.path] = row;
+  return rows;
+}
+
+double shareSum(const std::map<std::string, ProfileRow>& rows) {
+  double sum = 0.0;
+  for (const auto& [path, row] : rows) sum += row.share;
+  return sum;
+}
+
+TEST(ReportProfile, FixtureSharesSumToOneAndLeavesKeepTheirTotal) {
+  const std::string fixture = HCP_FIXTURE_DIR "/train_report.json";
+  const auto rows = profileByPath(fixture);
+  const json::Value report = json::parseFile(fixture);
+  ASSERT_EQ(rows.size(), report.find("spans")->array.size() + 1);
+  EXPECT_NEAR(shareSum(rows), 1.0, 1e-12);
+  // A leaf's self time is its total; `flow`'s is its total minus its
+  // seven stages'.
+  double stagesMs = 0.0;
+  for (const auto& [path, row] : rows) {
+    if (path.rfind("flow/", 0) == 0) {
+      EXPECT_EQ(row.selfMs, row.totalMs) << path;
+      stagesMs += row.totalMs;
+    }
+  }
+  EXPECT_EQ(rows.at("train").selfMs, rows.at("train").totalMs);
+  EXPECT_EQ(rows.at("build_dataset").selfMs,
+            rows.at("build_dataset").totalMs);
+  EXPECT_NEAR(rows.at("flow").selfMs, rows.at("flow").totalMs - stagesMs,
+              1e-9);
+  EXPECT_EQ(rows.at("flow/route").count, 2u);
+  // Two flows on two threads: the spans hold more time than the wall
+  // clock, so no wall time is left outside them.
+  EXPECT_EQ(rows.at(kOutsideSpans).selfMs, 0.0);
+}
+
+/// A report with total_wall_ms `wallMs` and the given (path, wall_ms)
+/// spans.
+std::string spansReport(
+    double wallMs, const std::vector<std::pair<std::string, double>>& spans) {
+  std::ostringstream os;
+  os << "{\"schema_version\": " << telemetry::kReportSchemaVersion
+     << ", \"total_wall_ms\": " << wallMs << ", \"spans\": [";
+  for (std::size_t i = 0; i < spans.size(); ++i)
+    os << (i == 0 ? "" : ", ") << "{\"path\": \"" << spans[i].first
+       << "\", \"depth\": 0, \"count\": 1, \"wall_ms\": "
+       << spans[i].second << "}";
+  os << "], \"counters\": {}, \"histograms\": {}}";
+  return os.str();
+}
+
+TEST(ReportProfile, OutsideRowHoldsWallTimeNoSpanCovers) {
+  TempFile file("outside", spansReport(100.0, {{"flow", 60.0},
+                                                {"flow/route", 20.0}}));
+  const auto rows = profileByPath(file.path());
+  EXPECT_DOUBLE_EQ(rows.at("flow").selfMs, 40.0);
+  EXPECT_DOUBLE_EQ(rows.at("flow/route").selfMs, 20.0);
+  EXPECT_DOUBLE_EQ(rows.at(kOutsideSpans).selfMs, 40.0);
+  EXPECT_DOUBLE_EQ(rows.at("flow").share, 0.4);
+  EXPECT_DOUBLE_EQ(rows.at("flow/route").share, 0.2);
+  EXPECT_NEAR(shareSum(rows), 1.0, 1e-12);
+}
+
+TEST(ReportProfile, ParallelChildrenLeaveTheParentNoSelfTime) {
+  // Two 8 ms children on two threads under a 10 ms parent.
+  TempFile file("parallel", spansReport(10.0, {{"fit", 10.0},
+                                               {"fit/a", 8.0},
+                                               {"fit/b", 8.0}}));
+  const auto rows = profileByPath(file.path());
+  EXPECT_EQ(rows.at("fit").selfMs, 0.0);
+  EXPECT_EQ(rows.at(kOutsideSpans).selfMs, 0.0);
+  EXPECT_DOUBLE_EQ(rows.at("fit/a").share, 0.5);
+  EXPECT_NEAR(shareSum(rows), 1.0, 1e-12);
+}
+
+TEST(ReportProfile, RowsComeLargestSelfTimeFirst) {
+  TempFile file("order", spansReport(50.0, {{"a", 5.0}, {"b", 30.0}}));
+  const std::vector<ProfileRow> rows = profileReport(file.path());
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].path, "b");
+  EXPECT_EQ(rows[1].path, kOutsideSpans);
+  EXPECT_EQ(rows[2].path, "a");
+}
+
+TEST(ReportProfile, BadReportIsBadInput) {
+  TempFile file("bad", "{\"schema_version\": 1}");
+  std::ostringstream os;
+  EXPECT_EQ(printProfile(file.path(), os), kExitBadInput);
+  EXPECT_NE(os.str().find("bad input"), std::string::npos);
+  EXPECT_EQ(printProfile("/nonexistent/report.json", os), kExitBadInput);
 }
 
 }  // namespace

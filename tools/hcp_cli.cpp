@@ -32,6 +32,10 @@
 //       --require-counters-equal, every counter total and histogram
 //       observation count must match exactly. --bench-out writes a
 //       machine-readable summary.
+//   hcp_cli profile REPORT.json
+//       print each span's calls, total and self time (total minus its
+//       children's) and share of the run, largest self time first; a
+//       "(outside spans)" row holds the wall time no top-level span covers
 //
 // Options (hcp_cli's own; --threads, --report, --trace, --cache and
 // --failpoints, their HCP_* fallbacks and the exit codes are the process
@@ -44,10 +48,10 @@
 //                     `train --from-shards`; HCP_SHARDS is the fallback
 //   --map-out FILE    where `predict-map` writes the map artifact
 //
-// `list` and `compare-reports` inspect rather than run: they take no
-// --threads, --report, --trace or --cache. On top of the shared exit codes,
-// compare-reports exits 1 on a regression and 4 on malformed input or a
-// schema mismatch.
+// `list`, `compare-reports` and `profile` inspect rather than run: they
+// take no --threads, --report, --trace or --cache. On top of the shared
+// exit codes, compare-reports exits 1 on a regression, and both report
+// commands exit 4 on malformed input or a schema mismatch.
 //
 // <design> is one of: face_detection, face_detection_noinline,
 // face_detection_replicated, digit_recognition, spam_filter, digit_spam,
@@ -94,7 +98,7 @@ apps::AppDesign makeDesign(const std::string& name, bool withDirectives) {
 int usage() {
   std::fprintf(stderr,
                "usage: hcp_cli <flow|train|shard|predict|advise|predict-map|"
-               "dump-ir|dump-verilog|list|compare-reports> ..."
+               "dump-ir|dump-verilog|list|compare-reports|profile> ..."
                "\n(see the header of tools/hcp_cli.cpp for details)\n");
   return 2;
 }
@@ -237,10 +241,10 @@ void printSummary(const core::FlowResult& flow) {
   std::printf("samples traced  : %zu\n", flow.traced.samples.size());
 }
 
-/// The `list` and `compare-reports` queries write no report, trace or cache
-/// (support::process::Mode::kQuery).
+/// The `list`, `compare-reports` and `profile` queries write no report,
+/// trace or cache (support::process::Mode::kQuery).
 bool isQuery(const std::string& cmd) {
-  return cmd == "list" || cmd == "compare-reports";
+  return cmd == "list" || cmd == "compare-reports" || cmd == "profile";
 }
 
 int run(support::process::Session& session, const std::string& cmd) {
@@ -252,6 +256,13 @@ int run(support::process::Session& session, const std::string& cmd) {
     return checkStdout();
   }
   if (cmd == "compare-reports") return runCompareReports(argv);
+  if (cmd == "profile") {
+    if (argv.size() != 2 || argv[1].rfind("--", 0) == 0)
+      usageError("profile takes exactly one report file");
+    const int code = support::report_diff::printProfile(argv[1], std::cout);
+    checkStdout();
+    return code;
+  }
 
   const auto device = fpga::Device::xc7z020like();
   const Args args = parse(argv);
